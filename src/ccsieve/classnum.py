@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .intmath import fundamental_discriminant, is_squarefree, isqrt
@@ -40,8 +42,14 @@ __all__ = [
     "write_class_audit_csv",
 ]
 
-# Cycle enumeration costs ~ D^(1/2+eps) per discriminant; past this the
-# oracle stops being a desk-scale tool.
+# Per discriminant both oracles make about sqrt(|D|) lookups in the
+# square-root table (sqrt(|D|/3) on the imaginary side), and the real one
+# then takes one rho^2 step per reduced form with a > 0, of which there are
+# O(sqrt(D) log D) on average.  The shared table is grown once to the
+# largest |D| seen: about 6*D bytes for real D and 2*|D| bytes for
+# imaginary D, so 60 MB at this cap.  Past it the oracle stops being a
+# desk-scale tool; the callers in counting stay below it, and the table's
+# 16-bit entries could not go past a = 32767 (D about 10^9) at all.
 PRACTICAL_DISCRIMINANT_CAP = 10_000_000
 
 
@@ -102,6 +110,32 @@ def _require_real_fundamental(D: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Square-root table: every b in [0, 2a) grouped by b^2 mod 4a.
+# ---------------------------------------------------------------------------
+
+# CSR layout, indexed by a (entry 0 is unused): the roots b of
+# b^2 == k (mod 4a) are _ROOTS[a][_ROOT_OFFSETS[a][k]:_ROOT_OFFSETS[a][k + 1]],
+# ascending.  Since (b + 2a)^2 == b^2 (mod 4a), one root per class mod 2a
+# covers every b.  Grown on demand to the largest a asked for; up to a_max it
+# holds about 6*a_max^2 bytes and costs O(a_max^2) to build.
+_ROOT_OFFSETS: list[array] = [array("H")]
+_ROOTS: list[array] = [array("H")]
+
+
+def _root_table(a_max: int) -> tuple[list[array], list[array]]:
+    """The (offsets, roots) table, grown to cover every a <= a_max."""
+    for a in range(len(_ROOTS), a_max + 1):
+        modulus = 4 * a
+        squares = [b * b % modulus for b in range(2 * a)]
+        counts = [0] * (modulus + 1)
+        for k in squares:
+            counts[k + 1] += 1
+        _ROOT_OFFSETS.append(array("H", accumulate(counts)))
+        _ROOTS.append(array("H", sorted(range(2 * a), key=squares.__getitem__)))
+    return _ROOT_OFFSETS, _ROOTS
+
+
+# ---------------------------------------------------------------------------
 # Imaginary side: exact count of reduced positive-definite forms.
 # ---------------------------------------------------------------------------
 
@@ -110,20 +144,30 @@ def class_number_imaginary(D: int) -> ClassNumberResult:
     """Class number of the imaginary quadratic field of discriminant D < 0.
 
     Counts reduced positive-definite forms (a, b, c): |b| <= a <= c with
-    b >= 0 whenever |b| = a or a = c.  Enumerates b >= 0 of the right
-    parity up to sqrt(|D|/3) and divisors a of (b^2 + |D|)/4; forms with
-    0 < b < a < c are counted twice for the b-sign choice.
+    b >= 0 whenever |b| = a or a = c.  Loops over a <= sqrt(|D|/3) and
+    takes the b in (-a, a] with b^2 == D (mod 4a) from the square-root
+    table, keeping those with c = (b^2 - D)/(4a) >= a.  That is about
+    sqrt(|D|/3) table lookups per call; the table itself costs O(|D|/3)
+    to build once, shared by every later call with a smaller |D|.
     """
     _require_imaginary_fundamental(D)
     n = -D
+    a_max = isqrt(n // 3)
+    offsets, roots = _root_table(a_max)
     count = 0
-    for b in range(n & 1, isqrt(n // 3) + 1, 2):
-        ac = (b * b + n) // 4
-        for a in range(max(b, 1), isqrt(ac) + 1):
-            if ac % a:
-                continue
-            c = ac // a
-            count += 1 if (b == 0 or b == a or a == c) else 2
+    for a in range(1, a_max + 1):
+        offs = offsets[a]
+        k = D % (4 * a)
+        lo, hi = offs[k], offs[k + 1]
+        if lo == hi:
+            continue
+        four_a_sq = 4 * a * a
+        for r in roots[a][lo:hi]:
+            b = r if r <= a else r - 2 * a
+            # c >= a, i.e. b^2 + n >= 4a^2; when c == a only b >= 0 is reduced
+            t = b * b + n - four_a_sq
+            if t > 0 or (t == 0 and b >= 0):
+                count += 1
     return ClassNumberResult(discriminant=D, count=count, kind=ClassKind.IMAGINARY_EXACT)
 
 
@@ -190,55 +234,74 @@ def rho(form: QuadraticForm, D: int) -> QuadraticForm:
     return QuadraticForm(c, r, (r * r - D) // (4 * c))
 
 
+def _positive_reduced_forms(D: int) -> list[tuple[int, int]]:
+    """(a, b) of every reduced indefinite form (a, b, c) of discriminant D
+    with a > 0.
+
+    For each a <= s = isqrt(D), each root class r of b^2 == D (mod 4a)
+    has exactly one representative b = s - (s - r) % 2a in the window
+    (s - 2a, s]; the form is reduced when b > 0 and 2a <= s + b.  That is
+    about sqrt(D) table lookups per call.
+    """
+    s = isqrt(D)
+    offsets, roots = _root_table(s)
+    out: list[tuple[int, int]] = []
+    for a in range(1, s + 1):
+        offs = offsets[a]
+        k = D % (4 * a)
+        lo, hi = offs[k], offs[k + 1]
+        if lo == hi:
+            continue
+        two_a = 2 * a
+        b_min = max(1, two_a - s)
+        for r in roots[a][lo:hi]:
+            b = s - (s - r) % two_a
+            if b >= b_min:
+                out.append((a, b))
+    return out
+
+
 def reduced_indefinite_forms(D: int) -> list[QuadraticForm]:
     """All reduced indefinite forms of fundamental discriminant D, sorted."""
     _require_real_fundamental(D)
-    return [QuadraticForm(*f) for f in sorted(_reduced_triples(D))]
-
-
-def _reduced_triples(D: int) -> list[tuple[int, int, int]]:
-    s = isqrt(D)
-    out: list[tuple[int, int, int]] = []
-    for b in range(2 - (D & 1), s + 1, 2):
-        quarter = (D - b * b) // 4  # exact: b has the parity of D
-        lo = s - b + 1  # window on 2|a|, inclusive
-        hi = s + b
-        for x in range(1, isqrt(quarter) + 1):
-            if quarter % x:
-                continue
-            y = quarter // x
-            if lo <= 2 * x <= hi:
-                out.append((x, b, -y))
-                out.append((-x, b, y))
-            if y != x and lo <= 2 * y <= hi:
-                out.append((y, b, -x))
-                out.append((-y, b, x))
-    return out
+    forms = []
+    for a, b in _positive_reduced_forms(D):
+        c = (b * b - D) // (4 * a)
+        forms.append(QuadraticForm(a, b, c))
+        forms.append(QuadraticForm(-a, b, -c))
+    forms.sort()
+    return forms
 
 
 def class_number_real_narrow(D: int) -> ClassNumberResult:
     """Narrow class number h+ of the real quadratic field of discriminant D.
 
     Equals the number of rho-cycles partitioning the reduced indefinite
-    forms of discriminant D.
+    forms of discriminant D.  rho flips the sign of the leading
+    coefficient, so a cycle of length 2L holds exactly L forms with a > 0
+    and they make up one orbit of rho^2; the count is taken over those
+    orbits.  The forms come from the square-root table in about sqrt(D)
+    lookups, and the walk visits each of them once.
     """
     _require_real_fundamental(D)
-    forms = _reduced_triples(D)
+    forms = _positive_reduced_forms(D)
     s = isqrt(D)
-    seen: set[tuple[int, int, int]] = set()
+    seen: set[tuple[int, int]] = set()
     cycles = 0
     limit = len(forms) + 1
     for start in forms:
         if start in seen:
             continue
         cycles += 1
-        g = start
+        a, b = start
         for _ in range(limit):
-            seen.add(g)
-            _a, b, c = g
-            r = s - (s + b) % (2 * abs(c))
-            g = (c, r, (r * r - D) // (4 * c))
-            if g == start:
+            seen.add((a, b))
+            # rho twice: (a, b, c) -> (c, r, a1) -> (a1, b1, c1), with c < 0 < a1
+            c = (b * b - D) // (4 * a)
+            r = s - (s + b) % (-2 * c)
+            a = (r * r - D) // (4 * c)
+            b = s - (s + r) % (2 * a)
+            if (a, b) == start:
                 break
         else:
             raise ArithmeticError(f"reduction cycle failed to close for D={D}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .counting import (
+    PINNED_SLOPE_WINDOW,
     SCHOLZ_BOUND_CAP,
     TRUTH_X_CAP,
     fit_slope,
@@ -234,7 +235,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_count(cfg: RunConfig) -> int:
-    """Write both count series, check domination, print the slope fit."""
+    """Write both count series, check domination, print the slope fits
+    over the checkpoint range and over the pinned window."""
     t0 = time.perf_counter()
     outdir = _outdir(cfg)
     honda_series = honda_count_series(cfg.checkpoints, cfg.enum_config())
@@ -263,6 +265,13 @@ def cmd_count(cfg: RunConfig) -> int:
     print(f"intercept: {report.intercept:.4f}")
     print(f"residual_max: {report.residual_max:.4f}")
     print(f"window: {window[0]}..{window[1]}")
+    try:
+        pinned = fit_slope(honda_series, PINNED_SLOPE_WINDOW)
+    except ValueError:
+        pass  # fewer than 3 checkpoints inside the pinned window
+    else:
+        lo, hi = PINNED_SLOPE_WINDOW
+        print(f"pinned_slope: {pinned.slope:.4f} over {lo}..{hi}")
     if truth_series is not None:
         print("containment: truth >= honda at all shared checkpoints")
     return EXIT_OK

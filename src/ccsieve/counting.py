@@ -26,6 +26,7 @@ from .honda import ConfigurationError, EnumConfig, enumerate_discriminants
 from .intmath import fundamental_discriminant, squarefree_decompose
 
 __all__ = [
+    "PINNED_SLOPE_WINDOW",
     "SCHOLZ_BOUND_CAP",
     "TRUTH_X_CAP",
     "CountSeries",
@@ -42,6 +43,10 @@ __all__ = [
 # d maps to discriminant 4d at worst, and the falsifier touches Q(sqrt(-3d)).
 TRUTH_X_CAP = PRACTICAL_DISCRIMINANT_CAP // 4
 SCHOLZ_BOUND_CAP = PRACTICAL_DISCRIMINANT_CAP // 12
+
+# The slope of the reference series over this window is the constant the
+# acceptance suite pins (0.8095).
+PINNED_SLOPE_WINDOW = (1_000, 1_000_000)
 
 
 @dataclass(frozen=True)

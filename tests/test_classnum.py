@@ -29,6 +29,7 @@ from ccsieve.classnum import (
     three_divides_real_class_number,
     write_class_audit_csv,
 )
+from ccsieve.intmath import fundamental_discriminant, is_squarefree
 
 
 def _h_imaginary_formula(D: int) -> int:
@@ -266,3 +267,20 @@ class TestAuditCsv:
         assert path.read_text(encoding="utf-8") == (
             "D,h,kind\n-3,1,imaginary_exact\n229,3,real_narrow\n"
         )
+
+
+class TestScholzReflection:
+    def test_real_three_divisibility_lifts_to_minus_three_d(self):
+        # Scholz: r3(d) <= r3(-3d), so 3 | h+(d) forces 3 | h(Q(sqrt(-3d))).
+        # The two oracles share no code, so every d cross-checks them.
+        violations = []
+        for d in range(2, 5_001):
+            if not is_squarefree(d):
+                continue
+            if class_number_real_narrow(fundamental_discriminant(d)).count % 3:
+                continue
+            kernel = -(d // 3) if d % 3 == 0 else -3 * d  # squarefree part of -3d
+            h_imag = class_number_imaginary(fundamental_discriminant(kernel)).count
+            if h_imag % 3:
+                violations.append((d, h_imag))
+        assert violations == []

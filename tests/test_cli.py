@@ -16,6 +16,7 @@ from ccsieve.cli import (
     EXIT_VERIFY,
     main,
 )
+from ccsieve.counting import PINNED_SLOPE_WINDOW, fit_slope, honda_count_series
 
 
 def run(*argv):
@@ -120,6 +121,35 @@ class TestCount:
         assert truth_csv.startswith("# N_plus_truth\nX,count\n")
         assert honda_csv.count("\n") == 2 + 4
         assert truth_csv.count("\n") == 2 + 3  # checkpoints above truth_x_max drop out
+
+    def test_pinned_window_slope_line(self, tmp_path, capsys):
+        # four checkpoints inside 10^3..10^6: the pinned fit is printed
+        # next to the full-range one and agrees with fit_slope
+        code = run(
+            "count",
+            "--x-max", "20000",
+            "--checkpoints", "100,1000,5000,10000,20000",
+            "--truth-x-max", "1000",
+            "--out", str(tmp_path),
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        pinned = [l for l in out.splitlines() if l.startswith("pinned_slope: ")]
+        series = honda_count_series((100, 1000, 5000, 10000, 20000))
+        expected = fit_slope(series, PINNED_SLOPE_WINDOW).slope
+        assert pinned == [f"pinned_slope: {expected:.4f} over 1000..1000000"]
+        # only two checkpoints inside the pinned window: no pinned line
+        code = run(
+            "count",
+            "--x-max", "2000",
+            "--checkpoints", "100,500,1000,2000",
+            "--truth-x-max", "1000",
+            "--out", str(tmp_path),
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "pinned_slope" not in out
+        assert len([l for l in out.splitlines() if l.startswith("slope: ")]) == 1
 
     def test_two_point_window_is_config_error(self, tmp_path):
         code = run(

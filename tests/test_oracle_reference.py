@@ -1,0 +1,129 @@
+"""Table-driven oracles against the trial-division enumerators they replaced.
+
+The reference implementations below loop over b and trial-divide
+(D - b^2)/4 or (b^2 + |D|)/4, which costs O(|D|) per discriminant.  They
+share no code with the square-root table, so agreement on every
+fundamental discriminant with |D| <= 10^4 checks the enumeration by
+leading coefficient.  The property tests cover the table itself and the
+closure of rho-cycles on random discriminants.
+"""
+
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ccsieve.classnum import (
+    QuadraticForm,
+    _root_table,
+    class_number_imaginary,
+    class_number_real_narrow,
+    is_fundamental_discriminant,
+    reduced_indefinite_forms,
+    rho,
+)
+
+REFERENCE_RANGE = 10_000
+
+
+def reference_reduced_triples(D: int) -> list[tuple[int, int, int]]:
+    """Reduced indefinite forms (a, b, c) of discriminant D > 0, both signs
+    of a, by trial division of (D - b^2)/4 over b of the parity of D."""
+    s = math.isqrt(D)
+    out: list[tuple[int, int, int]] = []
+    for b in range(2 - (D & 1), s + 1, 2):
+        quarter = (D - b * b) // 4  # exact: b has the parity of D
+        lo = s - b + 1  # window on 2|a|, inclusive
+        hi = s + b
+        for x in range(1, math.isqrt(quarter) + 1):
+            if quarter % x:
+                continue
+            y = quarter // x
+            if lo <= 2 * x <= hi:
+                out.append((x, b, -y))
+                out.append((-x, b, y))
+            if y != x and lo <= 2 * y <= hi:
+                out.append((y, b, -x))
+                out.append((-y, b, x))
+    return out
+
+
+def reference_class_number_imaginary(D: int) -> int:
+    """Reduced positive-definite forms of discriminant D < 0, counted over
+    b >= 0 and the divisors a of (b^2 + |D|)/4, doubling 0 < b < a < c."""
+    n = -D
+    count = 0
+    for b in range(n & 1, math.isqrt(n // 3) + 1, 2):
+        ac = (b * b + n) // 4
+        for a in range(max(b, 1), math.isqrt(ac) + 1):
+            if ac % a:
+                continue
+            c = ac // a
+            count += 1 if (b == 0 or b == a or a == c) else 2
+    return count
+
+
+def _rho_cycle_count(forms: list[QuadraticForm], D: int) -> int:
+    """Number of rho-cycles on `forms`, asserting each one closes inside
+    the set within len(forms) steps."""
+    form_set = set(forms)
+    seen: set[QuadraticForm] = set()
+    cycles = 0
+    for start in forms:
+        if start in seen:
+            continue
+        cycles += 1
+        g = start
+        for _ in range(len(forms)):
+            seen.add(g)
+            g = rho(g, D)
+            assert g in form_set
+            if g == start:
+                break
+        else:
+            raise AssertionError(f"rho-cycle of {start} did not close for D={D}")
+    return cycles
+
+
+def _fundamental(lo: int, hi: int) -> list[int]:
+    # no fundamental discriminant is a perfect square, so every positive
+    # one is a valid input of the real oracle
+    return [D for D in range(lo, hi + 1) if is_fundamental_discriminant(D)]
+
+
+class TestAgainstTrialDivision:
+    def test_real_forms_and_cycles(self):
+        for D in _fundamental(5, REFERENCE_RANGE):
+            reference = sorted(QuadraticForm(*t) for t in reference_reduced_triples(D))
+            assert reduced_indefinite_forms(D) == reference, D
+            assert class_number_real_narrow(D).count == _rho_cycle_count(reference, D), D
+
+    def test_imaginary_counts(self):
+        for D in _fundamental(-REFERENCE_RANGE, -3):
+            assert class_number_imaginary(D).count == reference_class_number_imaginary(D), D
+
+
+class TestSquareRootTable:
+    @settings(deadline=None)
+    @given(st.integers(min_value=1, max_value=500))
+    def test_every_root_listed_once_under_its_residue(self, a):
+        offsets, roots = _root_table(a)
+        offs, rts = offsets[a], roots[a]
+        assert len(offs) == 4 * a + 1 and offs[0] == 0 and offs[-1] == 2 * a
+        listed = []
+        for k in range(4 * a):
+            for b in rts[offs[k]:offs[k + 1]]:
+                assert 0 <= b < 2 * a
+                assert b * b % (4 * a) == k
+                listed.append(b)
+        assert sorted(listed) == list(range(2 * a))
+
+
+class TestRhoCycleClosure:
+    @settings(deadline=None)
+    @given(st.integers(min_value=5, max_value=200_000))
+    def test_cycles_close_and_match_the_oracle(self, D):
+        assume(is_fundamental_discriminant(D))
+        forms = reduced_indefinite_forms(D)
+        assert len(forms) % 2 == 0
+        assert class_number_real_narrow(D).count == _rho_cycle_count(forms, D)

@@ -20,10 +20,9 @@ from .classnum import (
     PRACTICAL_DISCRIMINANT_CAP,
     class_number_imaginary,
     class_number_real_narrow,
-    three_divides_real_class_number,
 )
 from .honda import ConfigurationError, EnumConfig, enumerate_discriminants
-from .intmath import fundamental_discriminant, squarefree_decompose
+from .intmath import squarefree_decompose
 
 __all__ = [
     "PINNED_SLOPE_WINDOW",
@@ -112,13 +111,20 @@ def honda_count_series(
     return CountSeries(label="N_honda", checkpoints=tuple(_prefix_counts(ds, checkpoints)))
 
 
+def _discriminant(d: int) -> int:
+    """Discriminant of Q(sqrt(d)) for a d already known to be squarefree;
+    the oracles' own domain checks still guard the result."""
+    return d if d % 4 == 1 else 4 * d
+
+
 def _truth_chunk(lo: int, hi: int) -> list[int]:
-    """Squarefree d in [lo, hi] whose real class number is divisible by 3."""
+    """Squarefree d in [lo, hi] whose real class number is divisible by 3
+    (through h+, whose odd part is that of h)."""
     hits = []
     for d in range(lo, hi + 1):
         if squarefree_decompose(d).square_part != 1:
             continue
-        if three_divides_real_class_number(d):
+        if class_number_real_narrow(_discriminant(d)).count % 3 == 0:
             hits.append(d)
     return hits
 
@@ -197,10 +203,10 @@ def _scholz_chunk(lo: int, hi: int) -> list[tuple[int, int, int]]:
     for d in range(lo, hi + 1):
         if squarefree_decompose(d).square_part != 1:
             continue
-        h_imag = class_number_imaginary(fundamental_discriminant(_imaginary_kernel(d))).count
+        h_imag = class_number_imaginary(_discriminant(_imaginary_kernel(d))).count
         if h_imag % 3:
             continue
-        h_real = class_number_real_narrow(fundamental_discriminant(d)).count
+        h_real = class_number_real_narrow(_discriminant(d)).count
         if h_real % 3:
             hits.append((d, h_real, h_imag))
     return hits

@@ -4,14 +4,32 @@ A witness (n, u, m, d) certifies that 3 divides the class number of the
 real quadratic field Q(sqrt(d)): it satisfies 27*n^2 + d*u^2 = 4*m^3
 exactly, with gcd(m, 3n) = 1, X^3 - m*X + n free of integer roots, and d
 squarefree with d >= 2.  Enumeration sweeps an (m, n) box and lets the
-squarefree decomposition of 4*m^3 - 27*n^2 discover u and d implicitly.
+squarefree decomposition t = 4*m^3 - 27*n^2 = d*u^2 discover u and d.
+
+The sweep sieves one row (fixed m, every n with 27*n^2 < 4*m^3) at a time.
+Rows with 3 | m are skipped, since gcd(m, 3n) = 3 there.  For each prime
+5 <= p with p^3 <= 4*m^3, p divides t(n) exactly on the one or two
+residue classes 27*n^2 = 4*m^3 (mod p), found from a square-root table
+mod p and Hensel-lifted to every p^k; walking those progressions records
+the parity of each n's exponent of p.  The prime 2 is read off t(n)
+directly (only even n, odd m), 3 never divides t(n) on a kept row, and a
+prime p | m divides t(n) only when p | n, which the gcd condition already
+excludes.  The cofactor left has no prime factor p with p^3 <= 4*m^3,
+while t(n) < 4*m^3, so it is 1, squarefree or a prime squared, and one
+isqrt settles (u, d).  The n for which X^3 - m*X + n has an integer
+root x are excluded per row as the set of x*(m - x^2), so no pair is
+trial-divided.  The square-root tables cover the primes with
+p^3 <= 4*m_max^3 and are built once per sweep, never at import.  Workers
+get consecutive m ranges of about equal total row length.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Iterable
 
 from .intmath import (
@@ -102,11 +120,13 @@ class EnumConfig:
 
 
 def candidate_from_pair(m: int, n: int) -> tuple[int, int] | None:
-    """Solve the identity for (u, d) at a given (m, n), if possible.
+    """Solve the identity for (u, d) at a single (m, n), if possible.
 
     Returns the squarefree decomposition (u, d) of t = 4*m^3 - 27*n^2 when
     t >= 2, and None when t <= 1 (no d >= 2 can exist).  Side conditions
-    are not checked here.
+    are not checked here.  This is the one-pair reference by trial
+    division; the enumeration sieves whole rows instead and does not call
+    it.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -165,47 +185,171 @@ def _check_sweep_config(X: int, config: EnumConfig) -> int:
     return m_hi
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    is_prime = bytearray([1]) * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if is_prime[p]]
+
+
+def _root_tables(p_hi: int) -> list[tuple[int, int, list[int]]]:
+    """(p, 1/27 mod p, roots) for the primes 5 <= p <= p_hi, where
+    roots[v] is the r in [1, p/2) with r^2 = v (mod p), or 0 when v is 0
+    or a non-residue."""
+    tables = []
+    for p in _primes_upto(p_hi):
+        if p < 5:
+            continue
+        roots = [0] * p
+        for r in range(1, (p + 1) // 2):
+            roots[r * r % p] = r
+        tables.append((p, pow(27, -1, p), roots))
+    return tables
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _cubic_root_ns(m: int, n_hi: int) -> set[int]:
+    """The n in [1, n_hi] for which X^3 - m*X + n has an integer root.
+
+    A root x gives n = x*(m - x^2): either x = r > 0 with r^2 < m, or
+    x = -s with s^2 > m and n = s*(s^2 - m), which grows with s.
+    """
+    ns = {r * (m - r * r) for r in range(1, math.isqrt(m - 1) + 1)}
+    s = math.isqrt(m) + 1
+    while s * (s * s - m) <= n_hi:
+        ns.add(s * (s * s - m))
+        s += 1
+    return {n for n in ns if n <= n_hi}
+
+
+def _kept_n(m: int, n_hi: int, shortcut_only: bool) -> bytearray:
+    """Mask over n in [0, n_hi]: 1 where gcd(m, 3n) = 1 (given 3 does not
+    divide m), X^3 - m*X + n is rootless, and, under shortcut_only, 3
+    does not divide n."""
+    keep = bytearray([1]) * (n_hi + 1)
+    keep[0] = 0
+    dropped = _prime_factors(m)
+    if shortcut_only:
+        dropped.append(3)
+    for p in dropped:
+        keep[::p] = bytes(len(range(0, n_hi + 1, p)))
+    for n in _cubic_root_ns(m, n_hi):
+        keep[n] = 0
+    return keep
+
+
+def _sieve_row(
+    m: int, n_hi: int, tables: list[tuple[int, int, list[int]]]
+) -> tuple[list[int], list[int]]:
+    """Small-prime parts of t(n) = 4*m^3 - 27*n^2 for n in [0, n_hi], 3 not
+    dividing m: lists d_part, u_part with d_part[n] * u_part[n]^2 the part
+    of t(n) over the primes p with p^3 <= 4*m^3, d_part[n] squarefree.
+
+    Entries at n sharing a prime with m are not meaningful.
+    """
+    t4 = 4 * m * m * m
+    size = n_hi + 1
+    d_part = [1] * size
+    u_part = [1] * size
+    if m & 1:
+        # t(2k) = 4*(m^3 - 27k^2): exactly 2^2 for even k, 2^3 or more for odd k
+        for n in range(4, size, 4):
+            u_part[n] = 2
+        for n in range(2, size, 4):
+            t = t4 - 27 * n * n
+            e = (t & -t).bit_length() - 1
+            d_part[n] = 1 << (e & 1)
+            u_part[n] = 1 << (e >> 1)
+    p_hi = icbrt(t4)
+    for p, inv27, roots in tables:
+        if p > p_hi:
+            break
+        r = roots[t4 * inv27 % p]
+        if not r:
+            continue  # 27n^2 = 4m^3 (mod p) is unsolvable, or p | m
+        inv = pow(54 * r, -1, p)
+        # n and pk - n are the roots of 27n^2 = 4m^3 (mod pk), pk = p^k;
+        # the classes only shrink with k, so stop once both pass n_hi
+        n, pk, odd = r, p, True
+        while n <= n_hi or pk - n <= n_hi:
+            for start in (n, pk - n):
+                if odd:
+                    for i in range(start, size, pk):
+                        d_part[i] *= p
+                else:
+                    for i in range(start, size, pk):
+                        d_part[i] //= p
+                        u_part[i] *= p
+            n += (t4 - 27 * n * n) // pk * inv % p * pk  # Hensel step to p^(k+1)
+            pk *= p
+            odd = not odd
+    return d_part, u_part
+
+
 def _sweep_m_range(
     X: int, m_lo: int, m_hi: int, shortcut_only: bool
 ) -> dict[int, tuple[int, int, int]]:
-    """Sweep m in [m_lo, m_hi], keeping the lex-least (m, n, u) per d <= X."""
+    """Sweep m in [m_lo, m_hi], keeping the lex-least (m, n, u) per d <= X.
+
+    Rows are visited in ascending m and each row in ascending n, so the
+    first pair to yield a d carries its lex-least witness in the range.
+    """
     found: dict[int, tuple[int, int, int]] = {}
+    if m_hi < max(2, m_lo):
+        return found
+    tables = _root_tables(icbrt(4 * m_hi * m_hi * m_hi))
+    isqrt = math.isqrt
     for m in range(max(2, m_lo), m_hi + 1):
+        if m % 3 == 0 or (shortcut_only and m % 3 != 1):
+            continue
         t4 = 4 * m * m * m
-        n_hi = math.isqrt((t4 - 1) // 27)
-        for n in range(1, n_hi + 1):
-            if shortcut_only and not (m % 3 == 1 and n % 3):
-                continue
-            if math.gcd(m, 3 * n) != 1:
-                continue
-            t = t4 - 27 * n * n
-            if t < 2:
-                continue
-            dec = squarefree_decompose(t)
-            d = dec.squarefree_part
-            if d < 2 or d > X:
-                continue
-            if not shortcut_only and cubic_has_integer_root(m, n):
-                continue
-            key = (m, n, dec.square_part)
-            prev = found.get(d)
-            if prev is None or key < prev:
-                found[d] = key
+        n_hi = isqrt((t4 - 1) // 27)
+        d_part, u_part = _sieve_row(m, n_hi, tables)
+        for n in compress(range(n_hi + 1), _kept_n(m, n_hi, shortcut_only)):
+            d = d_part[n]
+            u = u_part[n]
+            c = (t4 - 27 * n * n) // (d * u * u)
+            # c has no prime factor p with p^3 <= 4m^3, hence at most two
+            r = isqrt(c)
+            if r * r == c:
+                u *= r
+            else:
+                d *= c
+            if 2 <= d <= X and d not in found:
+                found[d] = (m, n, u)
     return found
 
 
 def _partition(m_lo: int, m_hi: int, parts: int) -> list[tuple[int, int]]:
-    span = m_hi - m_lo + 1
-    if span <= 0:
+    """Split [m_lo, m_hi] into at most `parts` consecutive ranges of about
+    equal sweep cost, a row costing its length isqrt((4m^3 - 1)/27)."""
+    if m_hi < m_lo:
         return []
-    parts = max(1, min(parts, span))
-    step = -(-span // parts)
+    cost = list(accumulate(math.isqrt((4 * m**3 - 1) // 27) for m in range(m_lo, m_hi + 1)))
     chunks = []
     lo = m_lo
-    while lo <= m_hi:
-        hi = min(lo + step - 1, m_hi)
-        chunks.append((lo, hi))
-        lo = hi + 1
+    for j in range(1, parts):
+        hi = m_lo + bisect_left(cost, -(-cost[-1] * j // parts))
+        if lo <= hi < m_hi:
+            chunks.append((lo, hi))
+            lo = hi + 1
+    chunks.append((lo, m_hi))
     return chunks
 
 
@@ -229,15 +373,14 @@ def enumerate_discriminants(
                 for lo, hi in chunks
             ]
             partials = [f.result() for f in futures]
+    # The chunks ascend in m, so the first chunk holding d has its lex-least
+    # witness: merge the last chunk first and let earlier ones overwrite.
     best: dict[int, tuple[int, int, int]] = {}
-    for part in partials:
-        for d, key in part.items():
-            prev = best.get(d)
-            if prev is None or key < prev:
-                best[d] = key
+    for part in reversed(partials):
+        best.update(part)
     return [
-        WitnessedDiscriminant(d=d, witness=HondaWitness(n=key[1], u=key[2], m=key[0], d=d))
-        for d, key in sorted(best.items())
+        WitnessedDiscriminant(d, HondaWitness(n, u, m, d))
+        for d, (m, n, u) in sorted(best.items())
     ]
 
 

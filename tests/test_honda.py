@@ -6,6 +6,9 @@ test_intmath validated against a full-interval oracle, and factorizations
 are verified inline where they matter.
 """
 
+import hashlib
+import math
+
 import pytest
 
 from ccsieve.honda import (
@@ -18,6 +21,7 @@ from ccsieve.honda import (
     HondaWitness,
     WitnessRejection,
     WitnessedDiscriminant,
+    _partition,
     candidate_from_pair,
     derived_m_max,
     enumerate_discriminants,
@@ -182,6 +186,48 @@ class TestEnumerate:
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError):
             enumerate_discriminants(100, EnumConfig(workers=0))
+
+
+class TestLargeCounts:
+    """N_honda at the default box beyond the reference series."""
+
+    def test_ten_to_the_seven(self, tmp_path):
+        items = enumerate_discriminants(10**7, EnumConfig(x_cap=10**7))
+        assert len(items) == 56_407
+        path = tmp_path / "witnesses.csv"
+        write_witnesses_csv(items, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ae950a446e8e93911962a9d140d620b10aa8cf1a6eaddd36a64bcf411bd37d6b"
+        )
+
+    def test_ten_to_the_eight(self):
+        items = enumerate_discriminants(10**8, EnumConfig(x_cap=10**8))
+        assert len(items) == 394_460
+
+
+class TestPartition:
+    @staticmethod
+    def row_length(m):
+        return math.isqrt((4 * m**3 - 1) // 27)
+
+    def test_contiguous_cover(self):
+        for m_lo, m_hi, parts in ((2, 342, 2), (2, 342, 8), (5, 7, 8), (2, 2, 3), (10, 400, 1)):
+            chunks = _partition(m_lo, m_hi, parts)
+            assert 1 <= len(chunks) <= parts
+            assert chunks[0][0] == m_lo and chunks[-1][1] == m_hi
+            assert all(lo <= hi for lo, hi in chunks)
+            assert all(a[1] + 1 == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert _partition(5, 4, 2) == []
+
+    def test_balanced_by_row_length(self):
+        # each chunk costs at most its equal share plus one row
+        for parts in (2, 3, 8):
+            chunks = _partition(2, 342, parts)
+            assert len(chunks) == parts
+            total = sum(self.row_length(m) for m in range(2, 343))
+            longest = self.row_length(342)
+            for lo, hi in chunks:
+                assert sum(self.row_length(m) for m in range(lo, hi + 1)) <= total / parts + longest
 
 
 class TestMBound:

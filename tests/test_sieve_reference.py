@@ -1,0 +1,85 @@
+"""The row sieve of the Honda sweep against the per-pair loop it replaced.
+
+The reference below trial-divides 4m^3 - 27n^2 for every pair of the box
+with `squarefree_decompose` and tests rootlessness with the divisor scan
+`cubic_has_integer_root`.  It shares no code with the sieve's residue
+classes, square-root tables or excluded-root sets, so equal dictionaries
+check the whole row sieve, including the lex-least tie-break on split m
+ranges.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccsieve.honda import (
+    EnumConfig,
+    _cubic_root_ns,
+    _partition,
+    _sweep_m_range,
+    derived_m_max,
+)
+from ccsieve.intmath import cubic_has_integer_root, squarefree_decompose
+
+
+def reference_sweep_m_range(
+    X: int, m_lo: int, m_hi: int, shortcut_only: bool
+) -> dict[int, tuple[int, int, int]]:
+    """Sweep m in [m_lo, m_hi], keeping the lex-least (m, n, u) per d <= X."""
+    found: dict[int, tuple[int, int, int]] = {}
+    for m in range(max(2, m_lo), m_hi + 1):
+        t4 = 4 * m * m * m
+        n_hi = math.isqrt((t4 - 1) // 27)
+        for n in range(1, n_hi + 1):
+            if shortcut_only and not (m % 3 == 1 and n % 3):
+                continue
+            if math.gcd(m, 3 * n) != 1:
+                continue
+            t = t4 - 27 * n * n
+            if t < 2:
+                continue
+            dec = squarefree_decompose(t)
+            d = dec.squarefree_part
+            if d < 2 or d > X:
+                continue
+            if not shortcut_only and cubic_has_integer_root(m, n):
+                continue
+            key = (m, n, dec.square_part)
+            prev = found.get(d)
+            if prev is None or key < prev:
+                found[d] = key
+    return found
+
+
+@pytest.mark.parametrize("shortcut_only", [False, True])
+@pytest.mark.parametrize("X", [10**3, 10**5, 10**6])
+def test_full_box_matches_reference(X, shortcut_only):
+    m_hi = derived_m_max(X, EnumConfig())
+    got = _sweep_m_range(X, 2, m_hi, shortcut_only)
+    assert got == reference_sweep_m_range(X, 2, m_hi, shortcut_only)
+    assert got  # both families are nonempty at these bounds
+
+
+@pytest.mark.parametrize("shortcut_only", [False, True])
+def test_split_ranges_match_reference(shortcut_only):
+    X = 10**6
+    m_hi = derived_m_max(X, EnumConfig())
+    ranges = _partition(2, m_hi, 3) + [(17, 40), (41, 41), (99, 99), (100, m_hi), (m_hi, m_hi)]
+    for m_lo, hi in ranges:
+        assert _sweep_m_range(X, m_lo, hi, shortcut_only) == reference_sweep_m_range(
+            X, m_lo, hi, shortcut_only
+        ), (m_lo, hi)
+
+
+def test_empty_range():
+    assert _sweep_m_range(10**6, 50, 49, False) == {}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=2, max_value=300))
+def test_excluded_root_set_matches_divisor_scan(m):
+    n_hi = math.isqrt((4 * m**3 - 1) // 27)
+    expected = {n for n in range(1, n_hi + 1) if cubic_has_integer_root(m, n)}
+    assert _cubic_root_ns(m, n_hi) == expected

@@ -30,8 +30,6 @@ from .honda import (
     EnumConfig,
     HondaWitness,
     WitnessRejection,
-    WitnessedDiscriminant,
-    candidate_from_pair,
     enumerate_discriminants,
     validate_witness,
 )
@@ -39,8 +37,6 @@ from .intmath import (
     SquarefreeDecomposition,
     cubic_has_integer_root,
     fundamental_discriminant,
-    gcd,
-    isqrt,
     mod3_shortcut_no_root,
     squarefree_decompose,
 )
@@ -60,18 +56,14 @@ __all__ = [
     "SlopeReport",
     "SquarefreeDecomposition",
     "WitnessRejection",
-    "WitnessedDiscriminant",
     "analytic_estimate_real",
-    "candidate_from_pair",
     "class_number_imaginary",
     "class_number_real_narrow",
     "cubic_has_integer_root",
     "enumerate_discriminants",
     "fit_slope",
     "fundamental_discriminant",
-    "gcd",
     "honda_count_series",
-    "isqrt",
     "mod3_shortcut_no_root",
     "scholz_counterexample_search",
     "squarefree_decompose",

@@ -18,9 +18,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .intmath import fundamental_discriminant, is_squarefree, isqrt
+from .intmath import fundamental_discriminant, is_squarefree
 
 __all__ = [
     "PRACTICAL_DISCRIMINANT_CAP",
@@ -39,7 +39,6 @@ __all__ = [
     "reduced_indefinite_forms",
     "rho",
     "three_divides_real_class_number",
-    "write_class_audit_csv",
 ]
 
 # Per discriminant both oracles make about sqrt(|D|) lookups in the
@@ -102,7 +101,7 @@ def _require_imaginary_fundamental(D: int) -> None:
 def _require_real_fundamental(D: int) -> None:
     if D <= 0:
         raise ValueError(f"D={D} must be positive")
-    r = isqrt(D)
+    r = math.isqrt(D)
     if r * r == D:
         raise ValueError(f"D={D} is a perfect square")
     if not is_fundamental_discriminant(D):
@@ -152,7 +151,7 @@ def class_number_imaginary(D: int) -> ClassNumberResult:
     """
     _require_imaginary_fundamental(D)
     n = -D
-    a_max = isqrt(n // 3)
+    a_max = math.isqrt(n // 3)
     offsets, roots = _root_table(a_max)
     count = 0
     for a in range(1, a_max + 1):
@@ -183,13 +182,13 @@ def imaginary_count_widened(D: int, slack: int = 3) -> int:
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     n = -D
-    bmax = isqrt(n // 3) + slack
+    bmax = math.isqrt(n // 3) + slack
     count = 0
     for b in range(-bmax, bmax + 1):
         if (b * b + n) % 4:
             continue
         ac = (b * b + n) // 4
-        for a in range(1, isqrt(ac) + 1 + slack):
+        for a in range(1, math.isqrt(ac) + 1 + slack):
             if ac % a:
                 continue
             c = ac // a
@@ -212,7 +211,7 @@ def is_reduced_indefinite(form: QuadraticForm, D: int) -> bool:
     a, b, c = form
     if form.discriminant() != D:
         return False
-    s = isqrt(D)
+    s = math.isqrt(D)
     if not 0 < b <= s:
         return False
     two_a = 2 * abs(a)
@@ -228,7 +227,7 @@ def rho(form: QuadraticForm, D: int) -> QuadraticForm:
     the unique representative with sqrt(D) - 2|c| < r < sqrt(D).
     """
     _a, b, c = form
-    s = isqrt(D)
+    s = math.isqrt(D)
     two_c = 2 * abs(c)
     r = s - (s + b) % two_c
     return QuadraticForm(c, r, (r * r - D) // (4 * c))
@@ -243,7 +242,7 @@ def _positive_reduced_forms(D: int) -> list[tuple[int, int]]:
     (s - 2a, s]; the form is reduced when b > 0 and 2a <= s + b.  That is
     about sqrt(D) table lookups per call.
     """
-    s = isqrt(D)
+    s = math.isqrt(D)
     offsets, roots = _root_table(s)
     out: list[tuple[int, int]] = []
     for a in range(1, s + 1):
@@ -285,7 +284,7 @@ def class_number_real_narrow(D: int) -> ClassNumberResult:
     """
     _require_real_fundamental(D)
     forms = _positive_reduced_forms(D)
-    s = isqrt(D)
+    s = math.isqrt(D)
     seen: set[tuple[int, int]] = set()
     cycles = 0
     limit = len(forms) + 1
@@ -365,7 +364,7 @@ def cf_regulator(D: int) -> float:
     logs so the unit never has to be held as an integer.
     """
     _require_real_fundamental(D)
-    s = isqrt(D)
+    s = math.isqrt(D)
     p0 = s if (s & 1) == (D & 1) else s - 1
     q0 = 2
     sqrt_d = math.sqrt(D)
@@ -422,11 +421,3 @@ def analytic_estimate_real(D: int, cutoff: int = 10_000) -> AnalyticEstimate:
         tail_bound=h_err,
         unstable=h_err > 0.25,
     )
-
-
-def write_class_audit_csv(results: Iterable[ClassNumberResult], path) -> None:
-    """Audit dump, one `D,h,kind` row per result."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("D,h,kind\n")
-        for res in results:
-            fh.write(f"{res.discriminant},{res.count},{res.kind.value}\n")

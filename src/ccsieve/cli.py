@@ -21,6 +21,7 @@ from .counting import (
     PINNED_SLOPE_WINDOW,
     SCHOLZ_BOUND_CAP,
     TRUTH_X_CAP,
+    check_checkpoints,
     fit_slope,
     honda_count_series,
     scholz_counterexample_search,
@@ -165,10 +166,7 @@ def _validate_config(cfg: RunConfig, command: str) -> None:
         raise ConfigurationError("x_max must be >= 2")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    if not cfg.checkpoints:
-        raise ConfigurationError("checkpoints must be nonempty")
-    if any(b <= a for a, b in zip(cfg.checkpoints, cfg.checkpoints[1:])):
-        raise ConfigurationError("checkpoints must be strictly increasing")
+    check_checkpoints(cfg.checkpoints)
     # checkpoints and x_max are only coupled where both drive the same sweep
     if command == "count" and cfg.checkpoints[-1] > cfg.x_max:
         raise ConfigurationError(
@@ -198,34 +196,39 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Re-validate every witness row; oracle-check 3 | h(d) for d <= truth_x_max."""
+    """Re-validate every witness row, check that d ascends strictly, and
+    oracle-check 3 | h(d) for d <= truth_x_max."""
     path = cfg.output_dir / "witnesses.csv"
     if not path.is_file():
         raise ConfigurationError(f"witness file not found: {path} (run enumerate first)")
     t0 = time.perf_counter()
+    checked = passed = failed = previous_d = 0
     try:
         rows = read_witnesses_csv(path)
     except ValueError as exc:
         # a present but unparseable artifact is a verification failure
         print(f"FAIL parsing {path}: {exc}")
-        print("checked: 0")
-        print("passed: 0")
-        print("failed: 1")
-        return EXIT_VERIFY
-    checked = passed = failed = 0
+        rows = []
+        failed = 1
     for d, m, n, u in rows:
         checked += 1
-        result = validate_witness(n=n, u=u, m=m, d=d)
-        ok = isinstance(result, HondaWitness)
-        if not ok:
-            print(f"FAIL row {d},{m},{n},{u}: {result.reason}: {result.detail}")
-        elif d <= cfg.truth_x_max:
-            ok = three_divides_real_class_number(d)
-            if not ok:
-                print(f"FAIL row {d},{m},{n},{u}: oracle reports 3 does not divide h({d})")
-        if ok:
+        problem = None
+        try:
+            result = validate_witness(n=n, u=u, m=m, d=d)
+        except ValueError as exc:  # a zero or negative field
+            problem = str(exc)
+        else:
+            if not isinstance(result, HondaWitness):
+                problem = f"{result.reason}: {result.detail}"
+            elif d <= previous_d:
+                problem = f"d does not exceed the previous row's d = {previous_d}"
+            elif d <= cfg.truth_x_max and not three_divides_real_class_number(d):
+                problem = f"oracle reports 3 does not divide h({d})"
+        previous_d = d
+        if problem is None:
             passed += 1
         else:
+            print(f"FAIL row {d},{m},{n},{u}: {problem}")
             failed += 1
     print(f"# verify: elapsed {time.perf_counter() - t0:.2f}s")
     print(f"checked: {checked}")

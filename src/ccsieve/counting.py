@@ -12,16 +12,16 @@ the imaginary side to the real side.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 from .classnum import (
     PRACTICAL_DISCRIMINANT_CAP,
     class_number_imaginary,
     class_number_real_narrow,
 )
-from .honda import ConfigurationError, EnumConfig, enumerate_discriminants
+from .honda import ConfigurationError, EnumConfig, enumerate_discriminants, parallel_map, write_csv
 from .intmath import squarefree_decompose
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "CountSeries",
     "ScholzCounterexample",
     "SlopeReport",
+    "check_checkpoints",
     "fit_slope",
     "honda_count_series",
     "scholz_counterexample_search",
@@ -66,8 +67,7 @@ class SlopeReport:
     window: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ScholzCounterexample:
+class ScholzCounterexample(NamedTuple):
     """Squarefree d with 3 | h(Q(sqrt(-3d))) but 3 not dividing h(Q(sqrt(d)));
     h_real is the narrow class number, h_imag the exact imaginary one."""
 
@@ -76,13 +76,14 @@ class ScholzCounterexample:
     h_imag: int
 
 
-def _check_checkpoints(checkpoints: Sequence[int]) -> None:
+def check_checkpoints(checkpoints: Sequence[int]) -> None:
+    """Reject an empty, non-increasing or below-2 checkpoint list."""
     if not checkpoints:
-        raise ValueError("at least one checkpoint is required")
+        raise ConfigurationError("at least one checkpoint is required")
     if any(x < 2 for x in checkpoints):
-        raise ValueError("checkpoints must be >= 2")
+        raise ConfigurationError("checkpoints must be >= 2")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
+        raise ConfigurationError("checkpoints must be strictly increasing")
 
 
 def _prefix_counts(values: Sequence[int], checkpoints: Sequence[int]) -> list[tuple[int, int]]:
@@ -101,13 +102,8 @@ def honda_count_series(
 ) -> CountSeries:
     """Sieve count series: qualifying d per checkpoint from one enumeration
     at the largest checkpoint."""
-    _check_checkpoints(checkpoints)
-    if checkpoints[-1] > config.x_cap:
-        raise ConfigurationError(
-            f"checkpoint {checkpoints[-1]} exceeds the enumeration cap {config.x_cap}"
-        )
-    items = enumerate_discriminants(checkpoints[-1], config)
-    ds = [wd.d for wd in items]
+    check_checkpoints(checkpoints)
+    ds = [w.d for w in enumerate_discriminants(checkpoints[-1], config)]
     return CountSeries(label="N_honda", checkpoints=tuple(_prefix_counts(ds, checkpoints)))
 
 
@@ -134,36 +130,15 @@ def truth_count_series(
 ) -> CountSeries:
     """Ground-truth count series: for every squarefree d <= x_max the
     form-class oracle decides 3 | h(d); counts per checkpoint."""
-    _check_checkpoints(checkpoints)
+    check_checkpoints(checkpoints)
     if checkpoints[-1] > x_max:
         raise ConfigurationError(f"checkpoint {checkpoints[-1]} exceeds x_max={x_max}")
     if x_max > TRUTH_X_CAP:
         raise ConfigurationError(f"x_max={x_max} exceeds the oracle range {TRUTH_X_CAP}")
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
-    hits = sorted(_parallel_chunks(_truth_chunk, 2, x_max, workers))
+    # each oracle call costs about sqrt(D) table lookups; chunks come back in order
+    parts = parallel_map(_truth_chunk, 2, x_max, workers, math.isqrt)
+    hits = list(chain.from_iterable(parts))
     return CountSeries(label="N_plus_truth", checkpoints=tuple(_prefix_counts(hits, checkpoints)))
-
-
-def _parallel_chunks(fn, lo: int, hi: int, workers: int) -> list:
-    """Order-independent merge of fn over a partition of [lo, hi]."""
-    if hi < lo:
-        return []
-    if workers == 1:
-        return fn(lo, hi)
-    span = hi - lo + 1
-    parts = min(workers * 4, span)
-    step = -(-span // parts)
-    bounds = []
-    a = lo
-    while a <= hi:
-        bounds.append((a, min(a + step - 1, hi)))
-        a = bounds[-1][1] + 1
-    merged: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(fn, *zip(*bounds)):
-            merged.extend(chunk)
-    return merged
 
 
 def fit_slope(series: CountSeries, window: tuple[int, int]) -> SlopeReport:
@@ -198,7 +173,7 @@ def _imaginary_kernel(d: int) -> int:
     return -(d // 3) if d % 3 == 0 else -3 * d
 
 
-def _scholz_chunk(lo: int, hi: int) -> list[tuple[int, int, int]]:
+def _scholz_chunk(lo: int, hi: int) -> list[ScholzCounterexample]:
     hits = []
     for d in range(lo, hi + 1):
         if squarefree_decompose(d).square_part != 1:
@@ -208,7 +183,7 @@ def _scholz_chunk(lo: int, hi: int) -> list[tuple[int, int, int]]:
             continue
         h_real = class_number_real_narrow(_discriminant(d)).count
         if h_real % 3:
-            hits.append((d, h_real, h_imag))
+            hits.append(ScholzCounterexample(d, h_real, h_imag))
     return hits
 
 
@@ -223,24 +198,15 @@ def scholz_counterexample_search(bound: int, workers: int = 1) -> list[ScholzCou
         raise ValueError("bound must be at least 2")
     if bound > SCHOLZ_BOUND_CAP:
         raise ConfigurationError(f"bound={bound} exceeds the oracle range {SCHOLZ_BOUND_CAP}")
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
-    hits = sorted(_parallel_chunks(_scholz_chunk, 2, bound, workers))
-    return [ScholzCounterexample(d=d, h_real=hr, h_imag=hi) for d, hr, hi in hits]
+    parts = parallel_map(_scholz_chunk, 2, bound, workers, math.isqrt)
+    return list(chain.from_iterable(parts))
 
 
 def write_series_csv(series: CountSeries, path) -> None:
     """Series export: `# label` comment line, then `X,count` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {series.label}\n")
-        fh.write("X,count\n")
-        for x, c in series.checkpoints:
-            fh.write(f"{x},{c}\n")
+    write_csv(path, "X,count", series.checkpoints, comment=series.label)
 
 
 def write_counterexamples_csv(items: Iterable[ScholzCounterexample], path) -> None:
     """Counterexample export: `d,h_real_narrow,h_imag` rows, ascending d."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("d,h_real_narrow,h_imag\n")
-        for ce in items:
-            fh.write(f"{ce.d},{ce.h_real},{ce.h_imag}\n")
+    write_csv(path, "d,h_real_narrow,h_imag", items)

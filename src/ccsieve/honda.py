@@ -19,25 +19,25 @@ while t(n) < 4*m^3, so it is 1, squarefree or a prime squared, and one
 isqrt settles (u, d).  The n for which X^3 - m*X + n has an integer
 root x are excluded per row as the set of x*(m - x^2), so no pair is
 trial-divided.  The square-root tables cover the primes with
-p^3 <= 4*m_max^3 and are built once per sweep, never at import.  Workers
-get consecutive m ranges of about equal total row length.
+p^3 <= 4*m_max^3 and are built once per sweep, never at import.
+
+The package's one process pool (`parallel_map`, ranges split by cost)
+and its one CSV row writer and reader (`write_csv`, `read_csv`) live here.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, compress
-from typing import Iterable
+from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
-from .intmath import (
-    cubic_has_integer_root,
-    icbrt,
-    is_squarefree,
-    squarefree_decompose,
-)
+from .intmath import cubic_has_integer_root, icbrt, is_squarefree
 
 __all__ = [
     "INTERMEDIATE_LIMIT",
@@ -49,12 +49,13 @@ __all__ = [
     "EnumConfig",
     "HondaWitness",
     "WitnessRejection",
-    "WitnessedDiscriminant",
-    "candidate_from_pair",
     "derived_m_max",
     "enumerate_discriminants",
+    "parallel_map",
+    "read_csv",
     "read_witnesses_csv",
     "validate_witness",
+    "write_csv",
     "write_witnesses_csv",
 ]
 
@@ -72,8 +73,7 @@ class ConfigurationError(ValueError):
     """A run configuration that must be rejected before any sweep starts."""
 
 
-@dataclass(frozen=True)
-class HondaWitness:
+class HondaWitness(NamedTuple):
     """A validated criterion witness: 27*n^2 + d*u^2 = 4*m^3 with the
     gcd, cubic-root and squarefree side conditions all holding."""
 
@@ -83,22 +83,12 @@ class HondaWitness:
     d: int
 
 
-@dataclass(frozen=True)
-class WitnessRejection:
+class WitnessRejection(NamedTuple):
     """First failed validation condition, in the fixed order
     identity / gcd / cubic-root / squarefree."""
 
     reason: str
     detail: str
-
-
-@dataclass(frozen=True)
-class WitnessedDiscriminant:
-    """A qualifying d together with its canonical witness, the
-    lexicographically least (m, n, u) discovered for it."""
-
-    d: int
-    witness: HondaWitness
 
 
 @dataclass(frozen=True)
@@ -117,27 +107,6 @@ class EnumConfig:
     x_cap: int = 1_000_000
     workers: int = 1
     shortcut_only: bool = False
-
-
-def candidate_from_pair(m: int, n: int) -> tuple[int, int] | None:
-    """Solve the identity for (u, d) at a single (m, n), if possible.
-
-    Returns the squarefree decomposition (u, d) of t = 4*m^3 - 27*n^2 when
-    t >= 2, and None when t <= 1 (no d >= 2 can exist).  Side conditions
-    are not checked here.  This is the one-pair reference by trial
-    division; the enumeration sieves whole rows instead and does not call
-    it.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    t4 = 4 * m * m * m
-    if t4 > INTERMEDIATE_LIMIT:
-        raise OverflowError(f"4*m^3 exceeds the intermediate budget at m={m}")
-    t = t4 - 27 * n * n
-    if t <= 1:
-        return None
-    dec = squarefree_decompose(t)
-    return dec.square_part, dec.squarefree_part
 
 
 def validate_witness(n: int, u: int, m: int, d: int) -> HondaWitness | WitnessRejection:
@@ -171,8 +140,6 @@ def derived_m_max(X: int, config: EnumConfig) -> int:
 def _check_sweep_config(X: int, config: EnumConfig) -> int:
     if X < 2:
         raise ValueError("X must be at least 2")
-    if config.workers < 1:
-        raise ConfigurationError("workers must be >= 1")
     if config.u_cap < 1 or config.n_max < 0:
         raise ConfigurationError("u_cap must be >= 1 and n_max >= 0")
     if X > config.x_cap:
@@ -319,7 +286,7 @@ def _sweep_m_range(
         if m % 3 == 0 or (shortcut_only and m % 3 != 1):
             continue
         t4 = 4 * m * m * m
-        n_hi = isqrt((t4 - 1) // 27)
+        n_hi = _row_length(m)
         d_part, u_part = _sieve_row(m, n_hi, tables)
         for n in compress(range(n_hi + 1), _kept_n(m, n_hi, shortcut_only)):
             d = d_part[n]
@@ -336,77 +303,115 @@ def _sweep_m_range(
     return found
 
 
-def _partition(m_lo: int, m_hi: int, parts: int) -> list[tuple[int, int]]:
-    """Split [m_lo, m_hi] into at most `parts` consecutive ranges of about
-    equal sweep cost, a row costing its length isqrt((4m^3 - 1)/27)."""
-    if m_hi < m_lo:
+def _row_length(m: int) -> int:
+    """Number of n >= 1 with 27*n^2 < 4*m^3, the cost of sweeping row m."""
+    return math.isqrt((4 * m * m * m - 1) // 27)
+
+
+def _chunks(lo: int, hi: int, parts: int, cost: Callable[[int], int]) -> list[tuple[int, int]]:
+    """Split [lo, hi] into at most `parts` consecutive ranges of about equal
+    total cost, the range [a, b] costing cost(a) + ... + cost(b)."""
+    if hi < lo:
         return []
-    cost = list(accumulate(math.isqrt((4 * m**3 - 1) // 27) for m in range(m_lo, m_hi + 1)))
+    total = list(accumulate(map(cost, range(lo, hi + 1))))
     chunks = []
-    lo = m_lo
+    a = lo
     for j in range(1, parts):
-        hi = m_lo + bisect_left(cost, -(-cost[-1] * j // parts))
-        if lo <= hi < m_hi:
-            chunks.append((lo, hi))
-            lo = hi + 1
-    chunks.append((lo, m_hi))
+        b = lo + bisect_left(total, -(-total[-1] * j // parts))
+        if a <= b < hi:
+            chunks.append((a, b))
+            a = b + 1
+    chunks.append((a, hi))
     return chunks
 
 
-def enumerate_discriminants(
-    X: int, config: EnumConfig = EnumConfig()
-) -> list[WitnessedDiscriminant]:
-    """All qualifying squarefree d in [2, X] discoverable in the (m, n) box.
+def parallel_map(
+    fn: Callable[[int, int], object], lo: int, hi: int, workers: int, cost: Callable[[int], int]
+) -> list:
+    """[fn(a, b) for each chunk [a, b] of [lo, hi]], in range order.
 
-    Deduplicated with the canonical (lex-least) witness and sorted by d;
-    the result is identical no matter how the m range is partitioned
+    The chunks are at most `workers` consecutive ranges of about equal
+    total cost.  With one worker (or one chunk) fn runs once in this
+    process over the whole range; otherwise each chunk runs in its own
+    process of a pool of exactly as many processes as chunks.
+    """
+    if workers < 1:
+        raise ConfigurationError("workers must be >= 1")
+    chunks = [(lo, hi)] if workers == 1 else _chunks(lo, hi, workers, cost)
+    if len(chunks) <= 1:
+        return [fn(a, b) for a, b in chunks]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(fn, *zip(*chunks)))
+
+
+def enumerate_discriminants(X: int, config: EnumConfig = EnumConfig()) -> list[HondaWitness]:
+    """The canonical witness of every qualifying squarefree d in [2, X]
+    discoverable in the (m, n) box, sorted by d.
+
+    The canonical witness is the lexicographically least (m, n, u) found
+    for d; the result is identical no matter how the m range is split
     across workers.
     """
     m_hi = _check_sweep_config(X, config)
-    chunks = _partition(2, m_hi, config.workers)
-    if config.workers == 1 or len(chunks) <= 1:
-        partials = [_sweep_m_range(X, lo, hi, config.shortcut_only) for lo, hi in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_sweep_m_range, X, lo, hi, config.shortcut_only)
-                for lo, hi in chunks
-            ]
-            partials = [f.result() for f in futures]
+    sweep = partial(_sweep_m_range, X, shortcut_only=config.shortcut_only)
     # The chunks ascend in m, so the first chunk holding d has its lex-least
     # witness: merge the last chunk first and let earlier ones overwrite.
     best: dict[int, tuple[int, int, int]] = {}
-    for part in reversed(partials):
+    for part in reversed(parallel_map(sweep, 2, m_hi, config.workers, _row_length)):
         best.update(part)
-    return [
-        WitnessedDiscriminant(d, HondaWitness(n, u, m, d))
-        for d, (m, n, u) in sorted(best.items())
-    ]
+    return [HondaWitness(n, u, m, d) for d, (m, n, u) in sorted(best.items())]
 
 
-def write_witnesses_csv(items: Iterable[WitnessedDiscriminant], path) -> None:
+def write_csv(path, header: str, rows: Iterable[tuple], comment: str | None = None) -> None:
+    """Write an optional `# comment` line, the header and one comma-joined
+    line per row tuple, UTF-8 and LF-terminated.
+
+    The lines go to a temporary file beside `path`, which replaces `path`
+    only once every row is written and synced to disk; if writing fails,
+    `path` is left as it was and the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            if comment is not None:
+                fh.write(f"# {comment}\n")
+            fh.write(f"{header}\n")
+            for row in rows:
+                fh.write(line % row)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_csv(path, header: str) -> list[tuple[int, ...]]:
+    """Parse a file of integer rows under `header`, as `write_csv` writes
+    it without a comment; blank lines are skipped."""
+    width = header.count(",") + 1
+    rows: list[tuple[int, ...]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ValueError(f"unexpected header {found!r}, expected {header!r}")
+        for line in fh:
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != width:
+                raise ValueError(f"malformed row: {line.strip()!r}")
+            rows.append(tuple(map(int, fields)))
+    return rows
+
+
+def write_witnesses_csv(items: Iterable[HondaWitness], path) -> None:
     """Witness export: header `d,m,n,u`, ascending d, LF-terminated."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("d,m,n,u\n")
-        for wd in items:
-            w = wd.witness
-            fh.write(f"{wd.d},{w.m},{w.n},{w.u}\n")
+    write_csv(path, "d,m,n,u", ((w.d, w.m, w.n, w.u) for w in items))
 
 
 def read_witnesses_csv(path) -> list[tuple[int, int, int, int]]:
     """Parse a witness export back into (d, m, n, u) rows."""
-    rows: list[tuple[int, int, int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "d,m,n,u":
-            raise ValueError(f"unexpected witness header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"malformed witness row: {line!r}")
-            d, m, n, u = (int(p) for p in parts)
-            rows.append((d, m, n, u))
-    return rows
+    return read_csv(path, "d,m,n,u")

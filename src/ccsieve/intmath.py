@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "SquarefreeDecomposition",
-    "gcd",
-    "isqrt",
     "icbrt",
     "squarefree_decompose",
     "is_squarefree",
@@ -20,22 +18,6 @@ __all__ = [
     "mod3_shortcut_no_root",
     "fundamental_discriminant",
 ]
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
-def isqrt(t: int) -> int:
-    """Floor square root: the unique r with r*r <= t < (r+1)*(r+1)."""
-    if t < 0:
-        raise ValueError("isqrt requires a nonnegative integer")
-    return math.isqrt(t)
 
 
 def icbrt(t: int) -> int:

@@ -111,7 +111,7 @@ def test_criterion_3_shortcut_soundness():
 
 
 def test_criterion_4_known_witnesses():
-    found = {wd.d: wd.witness for wd in enumerate_discriminants(300)}
+    found = {w.d: w for w in enumerate_discriminants(300)}
     ok = (
         found.get(229) == HondaWitness(n=1, u=1, m=4, d=229)
         and found.get(79) == HondaWitness(n=2, u=4, m=7, d=79)

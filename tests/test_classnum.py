@@ -27,7 +27,6 @@ from ccsieve.classnum import (
     reduced_indefinite_forms,
     rho,
     three_divides_real_class_number,
-    write_class_audit_csv,
 )
 from ccsieve.intmath import fundamental_discriminant, is_squarefree
 
@@ -257,16 +256,6 @@ class TestThreeDivides:
         for bad in (1, 0, -7, 12):
             with pytest.raises(ValueError):
                 three_divides_real_class_number(bad)
-
-
-class TestAuditCsv:
-    def test_format(self, tmp_path):
-        rows = [class_number_imaginary(-3), class_number_real_narrow(229)]
-        path = tmp_path / "audit.csv"
-        write_class_audit_csv(rows, path)
-        assert path.read_text(encoding="utf-8") == (
-            "D,h,kind\n-3,1,imaginary_exact\n229,3,real_narrow\n"
-        )
 
 
 class TestScholzReflection:

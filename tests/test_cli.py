@@ -90,6 +90,23 @@ class TestVerify:
     def test_missing_file_is_config_error(self, tmp_path):
         assert run("verify", "--out", str(tmp_path)) == EXIT_CONFIG
 
+    def test_zero_field_row_exits_3(self, tmp_path, capsys):
+        (tmp_path / "witnesses.csv").write_text("d,m,n,u\n0,4,1,1\n79,7,2,4\n", encoding="utf-8")
+        code = run("verify", "--out", str(tmp_path), "--truth-x-max", "100")
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        assert "FAIL row 0,4,1,1" in out
+        assert "passed: 1" in out and "failed: 1" in out
+
+    def test_repeated_or_descending_rows_exit_3(self, tmp_path, capsys):
+        rows = "d,m,n,u\n229,4,1,1\n229,4,1,1\n79,7,2,4\n"
+        (tmp_path / "witnesses.csv").write_text(rows, encoding="utf-8")
+        code = run("verify", "--out", str(tmp_path), "--truth-x-max", "300")
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        assert "FAIL row 229,4,1,1" in out and "FAIL row 79,7,2,4" in out
+        assert "passed: 1" in out and "failed: 2" in out
+
     def test_unparseable_file_exits_3(self, tmp_path, capsys):
         (tmp_path / "witnesses.csv").write_text("d,m,n,u\n79,x,2,4\n", encoding="utf-8")
         code = run("verify", "--out", str(tmp_path), "--truth-x-max", "100")
@@ -242,6 +259,11 @@ class TestConfigResolution:
             run("count", "--checkpoints", "10,abc", "--out", str(tmp_path))
             == EXIT_CONFIG
         )
+
+
+    def test_checkpoint_below_two(self, tmp_path):
+        argv = ("--checkpoints", "1,100", "--x-max", "100", "--truth-x-max", "100")
+        assert run("count", *argv, "--out", str(tmp_path)) == EXIT_CONFIG
 
 
 class TestSubprocessEntry:

@@ -8,9 +8,11 @@ are verified inline where they matter.
 
 import hashlib
 import math
+from itertools import chain
 
 import pytest
 
+from ccsieve import honda
 from ccsieve.honda import (
     REJECT_CUBIC,
     REJECT_GCD,
@@ -20,46 +22,19 @@ from ccsieve.honda import (
     EnumConfig,
     HondaWitness,
     WitnessRejection,
-    WitnessedDiscriminant,
-    _partition,
-    candidate_from_pair,
+    _chunks,
+    _row_length,
     derived_m_max,
     enumerate_discriminants,
+    parallel_map,
+    read_csv,
     read_witnesses_csv,
     validate_witness,
+    write_csv,
     write_witnesses_csv,
 )
 from ccsieve.intmath import is_squarefree
 from ccsieve.classnum import three_divides_real_class_number
-
-
-class TestCandidateFromPair:
-    def test_examples(self):
-        assert candidate_from_pair(4, 1) == (1, 229)  # 256 - 27, and 229 is prime
-        assert candidate_from_pair(7, 2) == (4, 79)  # 1372 - 108 = 1264 = 16*79
-        assert candidate_from_pair(1, 1) is None  # 4 - 27 < 0
-
-    def test_t_below_two_is_empty(self):
-        # m=1, n=... only t = 4 - 27n^2 < 0; craft t = 1 via no small pair,
-        # so check the boundary through the formula directly
-        assert candidate_from_pair(3, 2) is None  # 108 - 108 = 0
-        assert candidate_from_pair(2, 1) == (1, 5)  # 32 - 27 = 5
-
-    def test_d_one_possible(self):
-        # (m, n) = (3, 1): t = 81 = 9^2, so u = 9, d = 1; filtering d >= 2
-        # is the caller's job
-        assert candidate_from_pair(3, 1) == (9, 1)
-
-    def test_overflow_guard(self):
-        big_m = 10**14
-        with pytest.raises(OverflowError):
-            candidate_from_pair(big_m, 1)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            candidate_from_pair(0, 1)
-        with pytest.raises(ValueError):
-            candidate_from_pair(4, 0)
 
 
 class TestValidateWitness:
@@ -114,39 +89,36 @@ class TestValidateWitness:
 
 class TestEnumerate:
     def test_contains_known_witnesses(self):
-        found = {wd.d: wd.witness for wd in enumerate_discriminants(229)}
+        found = {w.d: w for w in enumerate_discriminants(229)}
         assert found[229] == HondaWitness(n=1, u=1, m=4, d=229)
-        found79 = {wd.d: wd.witness for wd in enumerate_discriminants(79)}
+        found79 = {w.d: w for w in enumerate_discriminants(79)}
         assert found79[79] == HondaWitness(n=2, u=4, m=7, d=79)
 
     def test_smallest_bound_is_empty(self):
         assert enumerate_discriminants(2) == []
 
     def test_x300(self):
-        ds = [wd.d for wd in enumerate_discriminants(300)]
+        ds = [w.d for w in enumerate_discriminants(300)]
         assert 229 in ds and 79 in ds
         assert ds == sorted(ds)
 
     def test_round_trip_validation(self):
-        for wd in enumerate_discriminants(10_000):
-            w = wd.witness
-            assert w.d == wd.d
+        for w in enumerate_discriminants(10_000):
             assert validate_witness(n=w.n, u=w.u, m=w.m, d=w.d) == w
 
     def test_identity_conservation(self):
-        for wd in enumerate_discriminants(5_000):
-            w = wd.witness
+        for w in enumerate_discriminants(5_000):
             assert 27 * w.n**2 + w.d * w.u**2 - 4 * w.m**3 == 0
 
     def test_emitted_d_squarefree_and_bounded(self):
         for x in (300, 2_000):
-            for wd in enumerate_discriminants(x):
-                assert 2 <= wd.d <= x
-                assert is_squarefree(wd.d)
+            for w in enumerate_discriminants(x):
+                assert 2 <= w.d <= x
+                assert is_squarefree(w.d)
 
     def test_monotone_in_x(self):
-        small = {wd.d: wd.witness for wd in enumerate_discriminants(1_000)}
-        large = {wd.d: wd.witness for wd in enumerate_discriminants(10_000)}
+        small = {w.d: w for w in enumerate_discriminants(1_000)}
+        large = {w.d: w for w in enumerate_discriminants(10_000)}
         assert set(small) <= set(large)
         for d, w in small.items():
             assert large[d] == w
@@ -157,18 +129,18 @@ class TestEnumerate:
             assert enumerate_discriminants(20_000, EnumConfig(workers=k)) == base
 
     def test_shortcut_subfamily(self):
-        full = {wd.d: wd for wd in enumerate_discriminants(20_000)}
+        full = {w.d for w in enumerate_discriminants(20_000)}
         sub = enumerate_discriminants(20_000, EnumConfig(shortcut_only=True))
         assert sub  # the sub-family is far from empty
-        for wd in sub:
-            assert wd.d in full
-            assert wd.witness.m % 3 == 1 and wd.witness.n % 3 != 0
+        for w in sub:
+            assert w.d in full
+            assert w.m % 3 == 1 and w.n % 3 != 0
 
     def test_criterion_soundness_small(self):
         # every emitted d must satisfy the oracle; the acceptance suite
         # repeats this at the full desk scale
-        for wd in enumerate_discriminants(2_000):
-            assert three_divides_real_class_number(wd.d), wd
+        for w in enumerate_discriminants(2_000):
+            assert three_divides_real_class_number(w.d), w
 
     def test_x_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -211,23 +183,89 @@ class TestPartition:
         return math.isqrt((4 * m**3 - 1) // 27)
 
     def test_contiguous_cover(self):
-        for m_lo, m_hi, parts in ((2, 342, 2), (2, 342, 8), (5, 7, 8), (2, 2, 3), (10, 400, 1)):
-            chunks = _partition(m_lo, m_hi, parts)
-            assert 1 <= len(chunks) <= parts
-            assert chunks[0][0] == m_lo and chunks[-1][1] == m_hi
-            assert all(lo <= hi for lo, hi in chunks)
-            assert all(a[1] + 1 == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert _partition(5, 4, 2) == []
+        # the Honda sweep's row length and the oracle sweeps' sqrt(d)
+        cases = ((2, 342, 2), (2, 342, 8), (5, 7, 8), (2, 2, 3), (10, 400, 1), (2, 20_000, 1_000))
+        for cost in (_row_length, math.isqrt):
+            for m_lo, m_hi, parts in cases:
+                chunks = _chunks(m_lo, m_hi, parts, cost)
+                assert 1 <= len(chunks) <= parts
+                assert chunks[0][0] == m_lo and chunks[-1][1] == m_hi
+                assert all(lo <= hi for lo, hi in chunks)
+                assert all(a[1] + 1 == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert _chunks(5, 4, 2, _row_length) == []
 
     def test_balanced_by_row_length(self):
         # each chunk costs at most its equal share plus one row
         for parts in (2, 3, 8):
-            chunks = _partition(2, 342, parts)
+            chunks = _chunks(2, 342, parts, _row_length)
             assert len(chunks) == parts
             total = sum(self.row_length(m) for m in range(2, 343))
             longest = self.row_length(342)
             for lo, hi in chunks:
                 assert sum(self.row_length(m) for m in range(lo, hi + 1)) <= total / parts + longest
+
+
+def _span(lo, hi):
+    return list(range(lo, hi + 1))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by an in-process map and record the size
+    each pool is asked for, so no test starts a large pool."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(honda, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+class TestParallelMap:
+    COSTS = (_row_length, math.isqrt)
+
+    def test_results_in_range_order(self, pool_sizes):
+        for cost in self.COSTS:
+            for workers in (1, 2, 3, 64):
+                parts = parallel_map(_span, 2, 5_000, workers, cost)
+                assert len(parts) <= workers
+                assert list(chain.from_iterable(parts)) == _span(2, 5_000)
+
+    def test_pool_size_equals_chunk_count(self, pool_sizes):
+        for cost in self.COSTS:
+            for lo, hi, workers in ((2, 20_000, 2), (2, 20_000, 5), (2, 20_000, 64), (5, 7, 64)):
+                parts = parallel_map(_span, lo, hi, workers, cost)
+                assert len(parts) == len(_chunks(lo, hi, workers, cost)) == pool_sizes[-1]
+        assert pool_sizes[-1] == 3  # [5, 7] holds three indices
+
+    def test_single_chunk_runs_in_process(self, pool_sizes):
+        def no_cost(_):
+            raise AssertionError("cost evaluated for a single chunk")
+
+        assert parallel_map(_span, 2, 10, 1, no_cost) == [_span(2, 10)]
+        assert parallel_map(_span, 7, 7, 8, math.isqrt) == [[7]]
+        assert parallel_map(_span, 8, 7, 8, no_cost) == []
+        assert pool_sizes == []
+
+    def test_two_process_pool_keeps_range_order(self):
+        parts = parallel_map(_span, 2, 3_000, 2, math.isqrt)
+        assert len(parts) == 2
+        assert list(chain.from_iterable(parts)) == _span(2, 3_000)
+
+    def test_bad_worker_count(self):
+        with pytest.raises(ConfigurationError):
+            parallel_map(_span, 2, 10, 0, math.isqrt)
 
 
 class TestMBound:
@@ -257,7 +295,7 @@ class TestWitnessCsv:
         items = enumerate_discriminants(2_000)
         write_witnesses_csv(items, path)
         rows = read_witnesses_csv(path)
-        assert rows == [(wd.d, wd.witness.m, wd.witness.n, wd.witness.u) for wd in items]
+        assert rows == [(w.d, w.m, w.n, w.u) for w in items]
 
     def test_reader_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -267,3 +305,32 @@ class TestWitnessCsv:
         path.write_text("wrong,header\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_witnesses_csv(path)
+
+
+class TestCsv:
+    def test_comment_header_and_rows(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_csv(path, "X,count", [(100, 1), (1_000, 35)], comment="N_honda")
+        assert path.read_bytes() == b"# N_honda\nX,count\n100,1\n1000,35\n"
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        rows = [(1, -2, 3), (40, 50, 60)]
+        write_csv(path, "a,b,c", rows)
+        assert read_csv(path, "a,b,c") == rows
+
+    def test_crash_mid_write_leaves_target_untouched(self, tmp_path):
+        def rows_then_crash():
+            yield (1, 2)
+            yield (3, 4)
+            raise RuntimeError("crash mid-write")
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            write_csv(path, "a,b", rows_then_crash())
+        assert list(tmp_path.iterdir()) == []  # no target, no temporary file
+        path.write_bytes(b"a,b\n9,9\n")
+        with pytest.raises(RuntimeError):
+            write_csv(path, "a,b", rows_then_crash())
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"a,b\n9,9\n"

@@ -11,10 +11,8 @@ from ccsieve.intmath import (
     SquarefreeDecomposition,
     cubic_has_integer_root,
     fundamental_discriminant,
-    gcd,
     icbrt,
     is_squarefree,
-    isqrt,
     mod3_shortcut_no_root,
     squarefree_decompose,
 )
@@ -29,47 +27,6 @@ def _squarefree_sieve(n: int) -> bytearray:
         flags[step::step] = bytearray(len(range(step, n + 1, step)))
         k += 1
     return flags
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(4, 3) == 1
-        assert gcd(6, 9) == 3
-        assert gcd(0, 5) == 5
-
-    def test_symmetry_small(self):
-        for a in range(0, 40):
-            for b in range(0, 40):
-                if a == 0 and b == 0:
-                    continue
-                assert gcd(a, b) == gcd(b, a)
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gcd(0, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gcd(-4, 2)
-
-
-class TestIsqrt:
-    def test_examples(self):
-        assert isqrt(0) == 0
-        assert isqrt(229) == 15  # 225 <= 229 < 256
-        assert isqrt(1264) == 35  # oracle: incremental scan below
-
-    def test_exhaustive_to_1e5(self):
-        # independent incremental oracle: maintain r so that r^2 <= t
-        r = 0
-        for t in range(0, 100_001):
-            if (r + 1) * (r + 1) <= t:
-                r += 1
-            assert isqrt(t) == r
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            isqrt(-1)
 
 
 class TestIcbrt:

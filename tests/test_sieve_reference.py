@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from ccsieve.honda import (
     EnumConfig,
+    _chunks,
     _cubic_root_ns,
-    _partition,
+    _row_length,
     _sweep_m_range,
     derived_m_max,
 )
@@ -66,7 +67,8 @@ def test_full_box_matches_reference(X, shortcut_only):
 def test_split_ranges_match_reference(shortcut_only):
     X = 10**6
     m_hi = derived_m_max(X, EnumConfig())
-    ranges = _partition(2, m_hi, 3) + [(17, 40), (41, 41), (99, 99), (100, m_hi), (m_hi, m_hi)]
+    ranges = _chunks(2, m_hi, 3, _row_length)
+    ranges += [(17, 40), (41, 41), (99, 99), (100, m_hi), (m_hi, m_hi)]
     for m_lo, hi in ranges:
         assert _sweep_m_range(X, m_lo, hi, shortcut_only) == reference_sweep_m_range(
             X, m_lo, hi, shortcut_only

@@ -101,9 +101,6 @@ def _require_imaginary_fundamental(D: int) -> None:
 def _require_real_fundamental(D: int) -> None:
     if D <= 0:
         raise ValueError(f"D={D} must be positive")
-    r = math.isqrt(D)
-    if r * r == D:
-        raise ValueError(f"D={D} is a perfect square")
     if not is_fundamental_discriminant(D):
         raise ValueError(f"D={D} is not a fundamental discriminant")
 

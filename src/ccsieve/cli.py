@@ -3,9 +3,10 @@
 Subcommands: enumerate (witness sweep), verify (re-validation plus oracle
 check of every emitted d), count (both count series plus a growth-slope
 fit), falsify-scholz (counterexamples to the imaginary-to-real reflection
-direction).  Configuration comes from flags or a key=value config file,
-flags winning.  Exit codes: 0 success, 1 internal arithmetic fault,
-2 configuration error, 3 verification failure, 4 empty falsification.
+direction).  Each setting is a RunConfig field, set by its flag or by a
+line of a key=value config file, flags winning.  Exit codes: 0 success,
+1 internal arithmetic fault, 2 configuration error, 3 verification
+failure, 4 empty falsification.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .counting import (
@@ -61,15 +62,41 @@ EXIT_EMPTY_FALSIFICATION = 4
 DEFAULT_CHECKPOINTS = (100, 1_000, 10_000, 100_000, 1_000_000)
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_checkpoints(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+def _setting(default, parse, help=None):
+    """A run setting: its default, the parser of its flag and file value,
+    and its --help text."""
+    return field(default=default, metadata={"parse": parse, "help": help})
+
+
 @dataclass
 class RunConfig:
-    x_max: int = 1_000_000
-    checkpoints: tuple[int, ...] = DEFAULT_CHECKPOINTS
-    truth_x_max: int = 10_000
-    scholz_bound: int = 100
-    workers: int = 1
-    output_dir: Path = Path("out")
-    shortcut_only: bool = False
+    """Every run setting.  A field name is the config-file key and, with
+    dashes, the flag; a bool field is a flag that takes no value."""
+
+    x_max: int = _setting(1_000_000, int)
+    checkpoints: tuple[int, ...] = _setting(
+        DEFAULT_CHECKPOINTS, _parse_checkpoints, "comma list of X values"
+    )
+    truth_x_max: int = _setting(10_000, int)
+    scholz_bound: int = _setting(100, int)
+    workers: int = _setting(1, int)
+    out: Path = _setting(Path("out"), Path, "output directory (or env CCS_OUT)")
+    shortcut_only: bool = _setting(
+        False, _parse_bool, "restrict the sweep to pairs with 3|m-1 and 3 not dividing n"
+    )
 
     def enum_config(self) -> EnumConfig:
         return EnumConfig(
@@ -77,22 +104,6 @@ class RunConfig:
             workers=self.workers,
             shortcut_only=self.shortcut_only,
         )
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"not a boolean: {text!r}")
-
-
-def _parse_checkpoints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"bad checkpoint list: {text!r}") from exc
 
 
 def _load_config_file(path: Path) -> dict[str, str]:
@@ -110,53 +121,25 @@ def _load_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-_FILE_KEYS = {
-    "x_max": int,
-    "checkpoints": _parse_checkpoints,
-    "truth_x_max": int,
-    "scholz_bound": int,
-    "workers": int,
-    "out": Path,
-    "shortcut_only": _parse_bool,
-}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config file, then explicit flags; CCS_OUT is the
-    output-dir fallback between the file and the built-in default."""
-    cfg = RunConfig()
+    """Each setting takes its default, then CCS_OUT (out only, if not
+    empty), then the config file, then its flag.  Every given value is
+    parsed, also one that a later source overrides."""
+    settings = {f.name: f for f in fields(RunConfig)}
     env_out = os.environ.get("CCS_OUT")
-    if env_out:
-        cfg.output_dir = Path(env_out)
+    sources = [{"out": env_out} if env_out else {}]
     if args.config is not None:
-        raw = _load_config_file(Path(args.config))
-        for key, value in raw.items():
-            if key in _FILE_KEYS:
-                parse = _FILE_KEYS[key]
-            else:
+        sources.append(_load_config_file(Path(args.config)))
+    sources.append({key: getattr(args, key) for key in settings if getattr(args, key) is not None})
+    cfg = RunConfig()
+    for source in sources:
+        for key, value in source.items():
+            if key not in settings:
                 raise ConfigurationError(f"unknown config key: {key}")
             try:
-                parsed = parse(value)
-            except (ValueError, ConfigurationError) as exc:
+                setattr(cfg, key, settings[key].metadata["parse"](value))
+            except ValueError as exc:
                 raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
-            if key == "out":
-                cfg.output_dir = parsed
-            else:
-                setattr(cfg, key, parsed)
-    if args.x_max is not None:
-        cfg.x_max = args.x_max
-    if args.checkpoints is not None:
-        cfg.checkpoints = _parse_checkpoints(args.checkpoints)
-    if args.truth_x_max is not None:
-        cfg.truth_x_max = args.truth_x_max
-    if args.scholz_bound is not None:
-        cfg.scholz_bound = args.scholz_bound
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.out is not None:
-        cfg.output_dir = Path(args.out)
-    if args.shortcut_only is not None:
-        cfg.shortcut_only = args.shortcut_only
     _validate_config(cfg, args.command)
     return cfg
 
@@ -179,8 +162,8 @@ def _validate_config(cfg: RunConfig, command: str) -> None:
 
 
 def _outdir(cfg: RunConfig) -> Path:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.output_dir
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    return cfg.out
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
@@ -198,7 +181,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     """Re-validate every witness row, check that d ascends strictly, and
     oracle-check 3 | h(d) for d <= truth_x_max."""
-    path = cfg.output_dir / "witnesses.csv"
+    path = cfg.out / "witnesses.csv"
     if not path.is_file():
         raise ConfigurationError(f"witness file not found: {path} (run enumerate first)")
     t0 = time.perf_counter()
@@ -312,21 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         sp = sub.add_parser(name, help=fn.__doc__)
-        sp.add_argument("--x-max", type=int, default=None, dest="x_max")
-        sp.add_argument("--checkpoints", type=str, default=None, help="comma list of X values")
-        sp.add_argument("--truth-x-max", type=int, default=None, dest="truth_x_max")
-        sp.add_argument("--scholz-bound", type=int, default=None, dest="scholz_bound")
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None, help="output directory (or env CCS_OUT)")
-        sp.add_argument(
-            "--shortcut-only",
-            action="store_const",
-            const=True,
-            default=None,
-            dest="shortcut_only",
-            help="restrict the sweep to pairs with 3|m-1 and 3 not dividing n",
-        )
-        sp.add_argument("--config", type=str, default=None, help="key=value config file")
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            if isinstance(f.default, bool):  # a flag without a value, read as "true"
+                sp.add_argument(flag, action="store_const", const="true", help=f.metadata["help"])
+            else:
+                sp.add_argument(flag, help=f.metadata["help"])
+        sp.add_argument("--config", help="key=value config file")
     return parser
 
 

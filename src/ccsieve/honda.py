@@ -40,7 +40,6 @@ from typing import Callable, Iterable, NamedTuple
 from .intmath import cubic_has_integer_root, icbrt, is_squarefree
 
 __all__ = [
-    "INTERMEDIATE_LIMIT",
     "REJECT_CUBIC",
     "REJECT_GCD",
     "REJECT_IDENTITY",
@@ -58,10 +57,6 @@ __all__ = [
     "write_csv",
     "write_witnesses_csv",
 ]
-
-# Budget for the largest intermediate 4*m^3; keeps the hot loop inside a
-# 128-bit word even though Python integers would not overflow.
-INTERMEDIATE_LIMIT = 2**127 - 1
 
 REJECT_IDENTITY = "identity"
 REJECT_GCD = "gcd"
@@ -144,12 +139,7 @@ def _check_sweep_config(X: int, config: EnumConfig) -> int:
         raise ConfigurationError("u_cap must be >= 1 and n_max >= 0")
     if X > config.x_cap:
         raise ConfigurationError(f"X={X} exceeds the enumeration cap {config.x_cap}")
-    m_hi = derived_m_max(X, config)
-    if 4 * m_hi * m_hi * m_hi > INTERMEDIATE_LIMIT:
-        raise ConfigurationError(
-            f"4*m^3 at m_max={m_hi} exceeds the 128-bit intermediate budget"
-        )
-    return m_hi
+    return derived_m_max(X, config)
 
 
 def _primes_upto(n: int) -> list[int]:

@@ -10,6 +10,8 @@ properties of the reduction step.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccsieve.classnum import (
     AnalyticEstimate,
@@ -59,6 +61,17 @@ class TestKronecker:
             for n1 in range(1, 25):
                 for n2 in range(1, 25):
                     assert kronecker(a, n1 * n2) == kronecker(a, n1) * kronecker(a, n2)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    def test_multiplicative_in_each_argument(self, a, b, m, n):
+        assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+        assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
     def test_character_periodicity_and_conductor(self):
         for D in _fundamental_range(-60, 60):

@@ -4,8 +4,10 @@ Commands are driven through main(argv) for speed; one test goes through a
 real subprocess to cover the module entry point.
 """
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from ccsieve.cli import (
 )
 from ccsieve.counting import PINNED_SLOPE_WINDOW, fit_slope, honda_count_series
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def run(*argv):
     return main(list(argv))
@@ -260,10 +263,57 @@ class TestConfigResolution:
             == EXIT_CONFIG
         )
 
-
     def test_checkpoint_below_two(self, tmp_path):
         argv = ("--checkpoints", "1,100", "--x-max", "100", "--truth-x-max", "100")
         assert run("count", *argv, "--out", str(tmp_path)) == EXIT_CONFIG
+
+    def test_file_out_beats_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CCS_OUT", str(tmp_path / "envdir"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out={}\n".format(tmp_path / "filedir"), encoding="utf-8")
+        assert run("enumerate", "--x-max", "2", "--config", str(cfg)) == EXIT_OK
+        assert (tmp_path / "filedir" / "witnesses.csv").is_file()
+        assert not (tmp_path / "envdir").exists()
+
+    @pytest.mark.parametrize("line", ["x_max=", "shortcut_only=maybe"])
+    def test_bad_file_value(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert run("enumerate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+
+    def test_shortcut_flag_beats_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x_max=5000\nshortcut_only=false\n", encoding="utf-8")
+        blobs = {}
+        for name, extra in (("file", ()), ("flag", ("--shortcut-only",))):
+            out = tmp_path / name
+            assert run("enumerate", "--config", str(cfg), *extra, "--out", str(out)) == EXIT_OK
+            blobs[name] = (out / "witnesses.csv").read_bytes()
+        sub = tmp_path / "sub"
+        assert run("enumerate", "--x-max", "5000", "--shortcut-only", "--out", str(sub)) == EXIT_OK
+        assert blobs["flag"] == (sub / "witnesses.csv").read_bytes() != blobs["file"]
+
+    @pytest.mark.parametrize("flag, value", [("--x-max", "abc"), ("--workers", "two")])
+    def test_bad_flag_value(self, tmp_path, capsys, flag, value):
+        assert run("enumerate", flag, value, "--out", str(tmp_path)) == EXIT_CONFIG
+        key = flag[2:].replace("-", "_")
+        assert f"configuration error: bad value for {key}: '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify", "count", "falsify-scholz"])
+    def test_flags_listed_in_order(self, capsys, command):
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        usage = capsys.readouterr().out.split("options:")[0]
+        assert re.findall(r"\[(--[\w-]+)", usage) == [
+            "--x-max", "--checkpoints", "--truth-x-max", "--scholz-bound",
+            "--workers", "--out", "--shortcut-only", "--config",
+        ]
+
+    def test_reference_config_reproduces_series(self, tmp_path, capsys):
+        argv = ("count", "--config", str(CONFIGS / "reference.cfg"), "--out", str(tmp_path))
+        assert run(*argv) == EXIT_OK
+        assert (tmp_path / "n_honda.csv").read_bytes() == (CONFIGS / "reference_n_honda.csv").read_bytes()
+        assert "pinned_slope: 0.8095 over 1000..1000000" in capsys.readouterr().out
 
 
 class TestSubprocessEntry:

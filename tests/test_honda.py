@@ -150,11 +150,6 @@ class TestEnumerate:
         with pytest.raises(ConfigurationError):
             enumerate_discriminants(2_000_000, EnumConfig(x_cap=1_000_000))
 
-    def test_intermediate_budget_checked_before_sweep(self):
-        cfg = EnumConfig(u_cap=10**15, n_max=0, x_cap=10**45)
-        with pytest.raises(ConfigurationError):
-            enumerate_discriminants(10**45, cfg)
-
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError):
             enumerate_discriminants(100, EnumConfig(workers=0))

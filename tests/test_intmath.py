@@ -5,7 +5,11 @@ routes coded in this file (incremental root scans, a p^2-marking sieve,
 full-range root scans), not by the functions under test.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccsieve.intmath import (
     SquarefreeDecomposition,
@@ -29,6 +33,9 @@ def _squarefree_sieve(n: int) -> bytearray:
     return flags
 
 
+_PRIMES = [p for p in range(2, 3000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
 class TestIcbrt:
     def test_exhaustive_to_2e4(self):
         r = 0
@@ -42,6 +49,17 @@ class TestIcbrt:
             assert icbrt(r**3) == r
             assert icbrt(r**3 - 1) == r - 1
             assert icbrt(r**3 + 1) == r
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(min_value=0, max_value=2**200)
+        | st.integers(min_value=1, max_value=2**66).flatmap(
+            lambda r: st.sampled_from([r**3 - 1, r**3, r**3 + 1])
+        )
+    )
+    def test_floor_property(self, t):
+        r = icbrt(t)
+        assert r**3 <= t < (r + 1) ** 3
 
 
 class TestSquarefreeDecompose:
@@ -71,6 +89,19 @@ class TestSquarefreeDecompose:
         big_prime = 999_999_999_989
         dec = squarefree_decompose(4 * big_prime)
         assert (dec.square_part, dec.squarefree_part) == (2, big_prime)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.dictionaries(
+            st.sampled_from(_PRIMES), st.integers(min_value=1, max_value=5), max_size=6
+        )
+    )
+    def test_recovers_constructed_parts(self, exponents):
+        # t = u0^2 * d0 from distinct primes: u0 gets p^(e // 2), d0 gets p^(e % 2)
+        u0 = math.prod(p ** (e // 2) for p, e in exponents.items())
+        d0 = math.prod(p ** (e % 2) for p, e in exponents.items())
+        dec = squarefree_decompose(u0 * u0 * d0)
+        assert (dec.square_part, dec.squarefree_part) == (u0, d0)
 
     def test_is_squarefree(self):
         flags = _squarefree_sieve(5_000)

@@ -8,8 +8,6 @@ batch CLI (cli).
 
 from .classnum import (
     AnalyticEstimate,
-    ClassKind,
-    ClassNumberResult,
     QuadraticForm,
     analytic_estimate_real,
     class_number_imaginary,
@@ -45,8 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticEstimate",
-    "ClassKind",
-    "ClassNumberResult",
     "ConfigurationError",
     "CountSeries",
     "EnumConfig",

@@ -13,7 +13,6 @@ cycle counts.
 
 from __future__ import annotations
 
-import enum
 import math
 from array import array
 from dataclasses import dataclass
@@ -25,8 +24,6 @@ from .intmath import fundamental_discriminant, is_squarefree
 __all__ = [
     "PRACTICAL_DISCRIMINANT_CAP",
     "AnalyticEstimate",
-    "ClassKind",
-    "ClassNumberResult",
     "QuadraticForm",
     "analytic_estimate_real",
     "cf_regulator",
@@ -52,11 +49,6 @@ __all__ = [
 PRACTICAL_DISCRIMINANT_CAP = 10_000_000
 
 
-class ClassKind(enum.Enum):
-    IMAGINARY_EXACT = "imaginary_exact"
-    REAL_NARROW = "real_narrow"
-
-
 class QuadraticForm(NamedTuple):
     """Integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
 
@@ -66,13 +58,6 @@ class QuadraticForm(NamedTuple):
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-
-@dataclass(frozen=True)
-class ClassNumberResult:
-    discriminant: int
-    count: int
-    kind: ClassKind
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -91,16 +76,10 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-def _require_imaginary_fundamental(D: int) -> None:
-    if D >= 0:
-        raise ValueError(f"D={D} must be negative")
-    if not is_fundamental_discriminant(D):
-        raise ValueError(f"D={D} is not a fundamental discriminant")
-
-
-def _require_real_fundamental(D: int) -> None:
-    if D <= 0:
-        raise ValueError(f"D={D} must be positive")
+def _require_fundamental(D: int, sign: int) -> None:
+    """Reject D unless it is a fundamental discriminant of the given sign."""
+    if D * sign <= 0:
+        raise ValueError(f"D={D} must be {'positive' if sign > 0 else 'negative'}")
     if not is_fundamental_discriminant(D):
         raise ValueError(f"D={D} is not a fundamental discriminant")
 
@@ -136,7 +115,7 @@ def _root_table(a_max: int) -> tuple[list[array], list[array]]:
 # ---------------------------------------------------------------------------
 
 
-def class_number_imaginary(D: int) -> ClassNumberResult:
+def class_number_imaginary(D: int) -> int:
     """Class number of the imaginary quadratic field of discriminant D < 0.
 
     Counts reduced positive-definite forms (a, b, c): |b| <= a <= c with
@@ -146,7 +125,7 @@ def class_number_imaginary(D: int) -> ClassNumberResult:
     sqrt(|D|/3) table lookups per call; the table itself costs O(|D|/3)
     to build once, shared by every later call with a smaller |D|.
     """
-    _require_imaginary_fundamental(D)
+    _require_fundamental(D, -1)
     n = -D
     a_max = math.isqrt(n // 3)
     offsets, roots = _root_table(a_max)
@@ -164,7 +143,7 @@ def class_number_imaginary(D: int) -> ClassNumberResult:
             t = b * b + n - four_a_sq
             if t > 0 or (t == 0 and b >= 0):
                 count += 1
-    return ClassNumberResult(discriminant=D, count=count, kind=ClassKind.IMAGINARY_EXACT)
+    return count
 
 
 def imaginary_count_widened(D: int, slack: int = 3) -> int:
@@ -175,7 +154,7 @@ def imaginary_count_widened(D: int, slack: int = 3) -> int:
     class_number_imaginary; exercises completeness and non-overlap of the
     counting windows.
     """
-    _require_imaginary_fundamental(D)
+    _require_fundamental(D, -1)
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     n = -D
@@ -259,7 +238,7 @@ def _positive_reduced_forms(D: int) -> list[tuple[int, int]]:
 
 def reduced_indefinite_forms(D: int) -> list[QuadraticForm]:
     """All reduced indefinite forms of fundamental discriminant D, sorted."""
-    _require_real_fundamental(D)
+    _require_fundamental(D, 1)
     forms = []
     for a, b in _positive_reduced_forms(D):
         c = (b * b - D) // (4 * a)
@@ -269,7 +248,7 @@ def reduced_indefinite_forms(D: int) -> list[QuadraticForm]:
     return forms
 
 
-def class_number_real_narrow(D: int) -> ClassNumberResult:
+def class_number_real_narrow(D: int) -> int:
     """Narrow class number h+ of the real quadratic field of discriminant D.
 
     Equals the number of rho-cycles partitioning the reduced indefinite
@@ -279,7 +258,7 @@ def class_number_real_narrow(D: int) -> ClassNumberResult:
     orbits.  The forms come from the square-root table in about sqrt(D)
     lookups, and the walk visits each of them once.
     """
-    _require_real_fundamental(D)
+    _require_fundamental(D, 1)
     forms = _positive_reduced_forms(D)
     s = math.isqrt(D)
     seen: set[tuple[int, int]] = set()
@@ -301,7 +280,7 @@ def class_number_real_narrow(D: int) -> ClassNumberResult:
                 break
         else:
             raise ArithmeticError(f"reduction cycle failed to close for D={D}")
-    return ClassNumberResult(discriminant=D, count=cycles, kind=ClassKind.REAL_NARROW)
+    return cycles
 
 
 def three_divides_real_class_number(d: int) -> bool:
@@ -313,7 +292,7 @@ def three_divides_real_class_number(d: int) -> bool:
     if d < 2:
         raise ValueError("d must be a squarefree integer >= 2")
     D = fundamental_discriminant(d)
-    return class_number_real_narrow(D).count % 3 == 0
+    return class_number_real_narrow(D) % 3 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +339,7 @@ def cf_regulator(D: int) -> float:
     repetition of the (P, Q) state; the product is accumulated as a sum of
     logs so the unit never has to be held as an integer.
     """
-    _require_real_fundamental(D)
+    _require_fundamental(D, 1)
     s = math.isqrt(D)
     p0 = s if (s & 1) == (D & 1) else s - 1
     q0 = 2
@@ -381,7 +360,6 @@ class AnalyticEstimate:
     """sqrt(D) * L(1, chi_D) / (2 * regulator), which targets the wide
     class number h; the cycle count h+ is h or 2h."""
 
-    discriminant: int
     value: float
     l_value: float
     regulator: float
@@ -398,7 +376,7 @@ def analytic_estimate_real(D: int, cutoff: int = 10_000) -> AnalyticEstimate:
     truncation; when it exceeds 0.25 the estimate cannot separate adjacent
     integers and the result is flagged unstable rather than rejected.
     """
-    _require_real_fundamental(D)
+    _require_fundamental(D, 1)
     if cutoff < 1_000:
         raise ValueError("cutoff must be at least 1000")
     l_sum = 0.0
@@ -411,7 +389,6 @@ def analytic_estimate_real(D: int, cutoff: int = 10_000) -> AnalyticEstimate:
     l_tail = sqrt_d * math.log(D) / cutoff
     h_err = sqrt_d * l_tail / (2.0 * reg)
     return AnalyticEstimate(
-        discriminant=D,
         value=sqrt_d * l_sum / (2.0 * reg),
         l_value=l_sum,
         regulator=reg,

@@ -75,6 +75,12 @@ def _parse_checkpoints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
+def _parse_out(text: str) -> Path:
+    if not text.strip():
+        raise ValueError("empty output directory")
+    return Path(text)
+
+
 def _setting(default, parse, help=None):
     """A run setting: its default, the parser of its flag and file value,
     and its --help text."""
@@ -93,7 +99,7 @@ class RunConfig:
     truth_x_max: int = _setting(10_000, int)
     scholz_bound: int = _setting(100, int)
     workers: int = _setting(1, int)
-    out: Path = _setting(Path("out"), Path, "output directory (or env CCS_OUT)")
+    out: Path = _setting(Path("out"), _parse_out, "output directory (or env CCS_OUT)")
     shortcut_only: bool = _setting(
         False, _parse_bool, "restrict the sweep to pairs with 3|m-1 and 3 not dividing n"
     )
@@ -237,9 +243,7 @@ def cmd_count(cfg: RunConfig) -> int:
     truth_checkpoints = [x for x in cfg.checkpoints if x <= cfg.truth_x_max]
     truth_series = None
     if truth_checkpoints:
-        truth_series = truth_count_series(
-            truth_checkpoints, x_max=cfg.truth_x_max, workers=cfg.workers
-        )
+        truth_series = truth_count_series(truth_checkpoints, workers=cfg.workers)
         write_series_csv(truth_series, outdir / "n_truth.csv")
         honda_at = dict(honda_series.checkpoints)
         for x, truth_count in truth_series.checkpoints:
@@ -256,7 +260,7 @@ def cmd_count(cfg: RunConfig) -> int:
     except ValueError:
         pass  # fewer than 3 checkpoints inside the pinned window
     else:
-        lo, hi = PINNED_SLOPE_WINDOW
+        lo, hi = pinned.window
         print(f"pinned_slope: {pinned.slope:.4f} over {lo}..{hi}")
     if truth_series is not None:
         print("containment: truth >= honda at all shared checkpoints")

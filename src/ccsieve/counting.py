@@ -12,6 +12,8 @@ the imaginary side to the real side.
 from __future__ import annotations
 
 import math
+import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -59,7 +61,8 @@ class CountSeries:
 
 @dataclass(frozen=True)
 class SlopeReport:
-    """Least-squares fit of log(count) against log(X)."""
+    """Least-squares fit of log(count) against log(X); window is the range
+    of X of the checkpoints the fit used."""
 
     slope: float
     intercept: float
@@ -86,17 +89,6 @@ def check_checkpoints(checkpoints: Sequence[int]) -> None:
         raise ConfigurationError("checkpoints must be strictly increasing")
 
 
-def _prefix_counts(values: Sequence[int], checkpoints: Sequence[int]) -> list[tuple[int, int]]:
-    """Counts of sorted `values` up to each checkpoint, in one pass."""
-    out = []
-    i = 0
-    for x in checkpoints:
-        while i < len(values) and values[i] <= x:
-            i += 1
-        out.append((x, i))
-    return out
-
-
 def honda_count_series(
     checkpoints: Sequence[int], config: EnumConfig = EnumConfig()
 ) -> CountSeries:
@@ -104,7 +96,7 @@ def honda_count_series(
     at the largest checkpoint."""
     check_checkpoints(checkpoints)
     ds = [w.d for w in enumerate_discriminants(checkpoints[-1], config)]
-    return CountSeries(label="N_honda", checkpoints=tuple(_prefix_counts(ds, checkpoints)))
+    return CountSeries("N_honda", tuple((x, bisect_right(ds, x)) for x in checkpoints))
 
 
 def _discriminant(d: int) -> int:
@@ -120,25 +112,21 @@ def _truth_chunk(lo: int, hi: int) -> list[int]:
     for d in range(lo, hi + 1):
         if squarefree_decompose(d).square_part != 1:
             continue
-        if class_number_real_narrow(_discriminant(d)).count % 3 == 0:
+        if class_number_real_narrow(_discriminant(d)) % 3 == 0:
             hits.append(d)
     return hits
 
 
-def truth_count_series(
-    checkpoints: Sequence[int], x_max: int = 10_000, workers: int = 1
-) -> CountSeries:
-    """Ground-truth count series: for every squarefree d <= x_max the
-    form-class oracle decides 3 | h(d); counts per checkpoint."""
+def truth_count_series(checkpoints: Sequence[int], workers: int = 1) -> CountSeries:
+    """Ground-truth count series: for every squarefree d up to the last
+    checkpoint the form-class oracle decides 3 | h(d); counts per checkpoint."""
     check_checkpoints(checkpoints)
-    if checkpoints[-1] > x_max:
-        raise ConfigurationError(f"checkpoint {checkpoints[-1]} exceeds x_max={x_max}")
+    x_max = checkpoints[-1]
     if x_max > TRUTH_X_CAP:
-        raise ConfigurationError(f"x_max={x_max} exceeds the oracle range {TRUTH_X_CAP}")
+        raise ConfigurationError(f"checkpoint {x_max} exceeds the oracle range {TRUTH_X_CAP}")
     # each oracle call costs about sqrt(D) table lookups; chunks come back in order
-    parts = parallel_map(_truth_chunk, 2, x_max, workers, math.isqrt)
-    hits = list(chain.from_iterable(parts))
-    return CountSeries(label="N_plus_truth", checkpoints=tuple(_prefix_counts(hits, checkpoints)))
+    hits = list(chain.from_iterable(parallel_map(_truth_chunk, 2, x_max, workers, math.isqrt)))
+    return CountSeries("N_plus_truth", tuple((x, bisect_right(hits, x)) for x in checkpoints))
 
 
 def fit_slope(series: CountSeries, window: tuple[int, int]) -> SlopeReport:
@@ -148,24 +136,16 @@ def fit_slope(series: CountSeries, window: tuple[int, int]) -> SlopeReport:
     is a domain error.
     """
     x_lo, x_hi = window
-    pts = [
-        (math.log(x), math.log(c))
-        for x, c in series.checkpoints
-        if x_lo <= x <= x_hi and c >= 1
-    ]
-    if len(pts) < 3:
+    used = [(x, c) for x, c in series.checkpoints if x_lo <= x <= x_hi and c >= 1]
+    if len(used) < 3:
         raise ValueError(
-            f"need at least 3 checkpoints with count >= 1 in window {window}, got {len(pts)}"
+            f"need at least 3 checkpoints with count >= 1 in window {window}, got {len(used)}"
         )
-    k = len(pts)
-    mean_x = sum(p[0] for p in pts) / k
-    mean_y = sum(p[1] for p in pts) / k
-    sxx = sum((p[0] - mean_x) ** 2 for p in pts)
-    sxy = sum((p[0] - mean_x) * (p[1] - mean_y) for p in pts)
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    residual_max = max(abs(y - (intercept + slope * x)) for x, y in pts)
-    return SlopeReport(slope=slope, intercept=intercept, residual_max=residual_max, window=window)
+    xs = [math.log(x) for x, _ in used]
+    ys = [math.log(c) for _, c in used]
+    slope, intercept = statistics.linear_regression(xs, ys)
+    residual_max = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
+    return SlopeReport(slope, intercept, residual_max, (used[0][0], used[-1][0]))
 
 
 def _imaginary_kernel(d: int) -> int:
@@ -178,10 +158,10 @@ def _scholz_chunk(lo: int, hi: int) -> list[ScholzCounterexample]:
     for d in range(lo, hi + 1):
         if squarefree_decompose(d).square_part != 1:
             continue
-        h_imag = class_number_imaginary(_discriminant(_imaginary_kernel(d))).count
+        h_imag = class_number_imaginary(_discriminant(_imaginary_kernel(d)))
         if h_imag % 3:
             continue
-        h_real = class_number_real_narrow(_discriminant(d)).count
+        h_real = class_number_real_narrow(_discriminant(d))
         if h_real % 3:
             hits.append(ScholzCounterexample(d, h_real, h_imag))
     return hits

@@ -7,7 +7,7 @@ into results, and every function is safe to call from concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "SquarefreeDecomposition",
@@ -43,11 +43,9 @@ def icbrt(t: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
+class SquarefreeDecomposition(NamedTuple):
     """t written as square_part**2 * squarefree_part, uniquely."""
 
-    original: int
     square_part: int
     squarefree_part: int
 
@@ -80,7 +78,7 @@ def squarefree_decompose(t: int) -> SquarefreeDecomposition:
         u *= r
     else:
         d *= c
-    return SquarefreeDecomposition(original=t, square_part=u, squarefree_part=d)
+    return SquarefreeDecomposition(u, d)
 
 
 def is_squarefree(t: int) -> bool:

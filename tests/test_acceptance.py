@@ -60,7 +60,7 @@ def honda_series_1e6():
 
 @pytest.fixture(scope="module")
 def truth_series_1e4():
-    return truth_count_series((100, 1_000, 10_000), x_max=10_000)
+    return truth_count_series((100, 1_000, 10_000))
 
 
 def test_criterion_1_soundness_at_desk_scale(tmp_path, capsys):
@@ -115,7 +115,7 @@ def test_criterion_4_known_witnesses():
     ok = (
         found.get(229) == HondaWitness(n=1, u=1, m=4, d=229)
         and found.get(79) == HondaWitness(n=2, u=4, m=7, d=79)
-        and class_number_real_narrow(229).count % 3 == 0
+        and class_number_real_narrow(229) % 3 == 0
         and three_divides_real_class_number(79)
     )
     _criterion(4, "d=229 (m=4,n=1,u=1) and d=79 (m=7,n=2,u=4) present and oracle-confirmed", ok)
@@ -164,7 +164,7 @@ def test_criterion_7_oracle_cross_validation():
     for D in range(2, 501):
         if not is_fundamental_discriminant(D):
             continue
-        h_plus = class_number_real_narrow(D).count
+        h_plus = class_number_real_narrow(D)
         est = analytic_estimate_real(D, 10_000)
         if not (abs(est.value - h_plus) <= 0.5 or abs(est.value - h_plus / 2) <= 0.5):
             real_failures.append((D, h_plus, est.value))
@@ -172,7 +172,7 @@ def test_criterion_7_oracle_cross_validation():
     for D in range(-500, 0):
         if not is_fundamental_discriminant(D):
             continue
-        if imaginary_count_widened(D) != class_number_imaginary(D).count:
+        if imaginary_count_widened(D) != class_number_imaginary(D):
             imag_failures.append(D)
     elapsed = time.perf_counter() - t0
     _criterion(

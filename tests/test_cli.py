@@ -157,7 +157,18 @@ class TestCount:
         pinned = [l for l in out.splitlines() if l.startswith("pinned_slope: ")]
         series = honda_count_series((100, 1000, 5000, 10000, 20000))
         expected = fit_slope(series, PINNED_SLOPE_WINDOW).slope
-        assert pinned == [f"pinned_slope: {expected:.4f} over 1000..1000000"]
+        assert pinned == [f"pinned_slope: {expected:.4f} over 1000..20000"]
+        # the label is the range of X the fit used, not the window it was asked for
+        code = run(
+            "count",
+            "--x-max", "100000",
+            "--checkpoints", "100,1000,10000,100000",
+            "--truth-x-max", "10000",
+            "--out", str(tmp_path),
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "pinned_slope: 0.8070 over 1000..100000\n" in out
         # only two checkpoints inside the pinned window: no pinned line
         code = run(
             "count",
@@ -275,11 +286,13 @@ class TestConfigResolution:
         assert (tmp_path / "filedir" / "witnesses.csv").is_file()
         assert not (tmp_path / "envdir").exists()
 
-    @pytest.mark.parametrize("line", ["x_max=", "shortcut_only=maybe"])
-    def test_bad_file_value(self, tmp_path, line):
+    @pytest.mark.parametrize("line", ["x_max=", "shortcut_only=maybe", "out="])
+    def test_bad_file_value(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n", encoding="utf-8")
         assert run("enumerate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+        key, _, value = line.partition("=")
+        assert f"configuration error: bad value for {key}: '{value}'" in capsys.readouterr().err
 
     def test_shortcut_flag_beats_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -293,9 +306,12 @@ class TestConfigResolution:
         assert run("enumerate", "--x-max", "5000", "--shortcut-only", "--out", str(sub)) == EXIT_OK
         assert blobs["flag"] == (sub / "witnesses.csv").read_bytes() != blobs["file"]
 
-    @pytest.mark.parametrize("flag, value", [("--x-max", "abc"), ("--workers", "two")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--x-max", "abc"), ("--workers", "two"), ("--out", "")]
+    )
     def test_bad_flag_value(self, tmp_path, capsys, flag, value):
-        assert run("enumerate", flag, value, "--out", str(tmp_path)) == EXIT_CONFIG
+        # the flag comes last, so a bad --out is the one argparse keeps
+        assert run("enumerate", "--out", str(tmp_path), flag, value) == EXIT_CONFIG
         key = flag[2:].replace("-", "_")
         assert f"configuration error: bad value for {key}: '{value}'" in capsys.readouterr().err
 
@@ -313,7 +329,15 @@ class TestConfigResolution:
         argv = ("count", "--config", str(CONFIGS / "reference.cfg"), "--out", str(tmp_path))
         assert run(*argv) == EXIT_OK
         assert (tmp_path / "n_honda.csv").read_bytes() == (CONFIGS / "reference_n_honda.csv").read_bytes()
-        assert "pinned_slope: 0.8095 over 1000..1000000" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for line in (
+            "slope: 0.9676",
+            "intercept: -3.7278",
+            "residual_max: 0.7281",
+            "window: 100..1000000",
+            "pinned_slope: 0.8095 over 1000..1000000",
+        ):
+            assert line + "\n" in out
 
 
 class TestSubprocessEntry:

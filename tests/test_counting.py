@@ -61,7 +61,7 @@ class TestHondaSeries:
 
 class TestTruthSeries:
     def test_matches_bruteforce_tally(self):
-        series = truth_count_series((50, 100), x_max=100)
+        series = truth_count_series((50, 100))
         tally = [
             d
             for d in range(2, 101)
@@ -72,11 +72,11 @@ class TestTruthSeries:
         assert series.label == "N_plus_truth"
 
     def test_x4_is_zero(self):
-        assert truth_count_series((4,), x_max=4).checkpoints == ((4, 0),)
+        assert truth_count_series((4,)).checkpoints == ((4, 0),)
 
     def test_dominates_honda_series(self):
         checkpoints = (100, 500, 1_000)
-        truth = truth_count_series(checkpoints, x_max=1_000)
+        truth = truth_count_series(checkpoints)
         honda = honda_count_series(checkpoints)
         for (x_t, c_t), (x_h, c_h) in zip(truth.checkpoints, honda.checkpoints):
             assert x_t == x_h
@@ -84,13 +84,11 @@ class TestTruthSeries:
 
     def test_range_validation(self):
         with pytest.raises(ConfigurationError):
-            truth_count_series((100,), x_max=50)
-        with pytest.raises(ConfigurationError):
-            truth_count_series((100,), x_max=10**9)
+            truth_count_series((100, 10**9))
 
     def test_workers_agree(self):
-        seq = truth_count_series((100, 400), x_max=400, workers=1)
-        par = truth_count_series((100, 400), x_max=400, workers=4)
+        seq = truth_count_series((100, 400), workers=1)
+        par = truth_count_series((100, 400), workers=4)
         assert seq == par
 
 
@@ -117,6 +115,7 @@ class TestFitSlope:
         series = CountSeries("demo", ((10, 0), (100, 1), (1000, 10), (10_000, 100)))
         report = fit_slope(series, (10, 10_000))
         assert abs(report.slope - 1.0) < 1e-12
+        assert report.window == (100, 10_000)  # the X range the fit used
 
     def test_window_excludes_outside_points(self):
         series = CountSeries(
@@ -134,8 +133,8 @@ class TestScholzSearch:
         assert 69 in by_d
         # d = 69: -3*69 = -207 = -9*23 reduces to Q(sqrt(-23)) with h = 3,
         # while h+(69) = 2
-        assert by_d[69].h_imag == class_number_imaginary(-23).count == 3
-        assert by_d[69].h_real == class_number_real_narrow(69).count == 2
+        assert by_d[69].h_imag == class_number_imaginary(-23) == 3
+        assert by_d[69].h_real == class_number_real_narrow(69) == 2
 
     def test_bound_4_empty(self):
         assert scholz_counterexample_search(4) == []
@@ -145,8 +144,8 @@ class TestScholzSearch:
             assert is_squarefree(ce.d)
             assert ce.h_imag % 3 == 0 and ce.h_real % 3 != 0
             kernel = -(ce.d // 3) if ce.d % 3 == 0 else -3 * ce.d
-            assert ce.h_imag == class_number_imaginary(fundamental_discriminant(kernel)).count
-            assert ce.h_real == class_number_real_narrow(fundamental_discriminant(ce.d)).count
+            assert ce.h_imag == class_number_imaginary(fundamental_discriminant(kernel))
+            assert ce.h_real == class_number_real_narrow(fundamental_discriminant(ce.d))
 
     def test_ascending_and_deterministic(self):
         hits = scholz_counterexample_search(150)
@@ -160,7 +159,7 @@ class TestScholzSearch:
     def test_multiple_of_three_kernel(self):
         # d = 93 = 3*31: kernel is -31, h(-31) = 3
         hits = {ce.d: ce for ce in scholz_counterexample_search(100)}
-        assert hits[93].h_imag == class_number_imaginary(-31).count == 3
+        assert hits[93].h_imag == class_number_imaginary(-31) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -66,11 +66,11 @@ class TestSquarefreeDecompose:
     def test_examples(self):
         # 229 is prime: no divisor in 2..15 (checked below), so (1, 229)
         assert all(229 % p for p in range(2, 16))
-        assert squarefree_decompose(229) == SquarefreeDecomposition(229, 1, 229)
+        assert squarefree_decompose(229) == SquarefreeDecomposition(1, 229)
         # 1264 = 2^4 * 79 by trial factorization, so u = 4, d = 79
         assert 1264 == 2**4 * 79 and all(79 % p for p in range(2, 9))
-        assert squarefree_decompose(1264) == SquarefreeDecomposition(1264, 4, 79)
-        assert squarefree_decompose(1) == SquarefreeDecomposition(1, 1, 1)
+        assert squarefree_decompose(1264) == SquarefreeDecomposition(4, 79)
+        assert squarefree_decompose(1) == SquarefreeDecomposition(1, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ class TestSquarefreeDecompose:
 
     def test_large_values(self):
         # constructed inputs with known decomposition
-        assert squarefree_decompose(10**12) == SquarefreeDecomposition(10**12, 10**6, 1)
+        assert squarefree_decompose(10**12) == SquarefreeDecomposition(10**6, 1)
         big_prime = 999_999_999_989
         dec = squarefree_decompose(4 * big_prime)
         assert (dec.square_part, dec.squarefree_part) == (2, big_prime)

@@ -27,7 +27,6 @@ from .honda import (
     ConfigurationError,
     EnumConfig,
     HondaWitness,
-    WitnessRejection,
     enumerate_discriminants,
     validate_witness,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ScholzCounterexample",
     "SlopeReport",
     "SquarefreeDecomposition",
-    "WitnessRejection",
     "analytic_estimate_real",
     "class_number_imaginary",
     "class_number_real_narrow",

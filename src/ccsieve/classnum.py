@@ -146,25 +146,23 @@ def class_number_imaginary(D: int) -> int:
     return count
 
 
-def imaginary_count_widened(D: int, slack: int = 3) -> int:
+def imaginary_count_widened(D: int) -> int:
     """Recount reduced forms from a deliberately over-wide (b, a) window.
 
-    Enumerates signed b and an enlarged divisor range, then filters with
-    the literal reduced-form predicate.  Must agree with
+    Enumerates signed b and divisors a, each range 3 past its bound, then
+    filters with the literal reduced-form predicate.  Must agree with
     class_number_imaginary; exercises completeness and non-overlap of the
     counting windows.
     """
     _require_fundamental(D, -1)
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
     n = -D
-    bmax = math.isqrt(n // 3) + slack
+    bmax = math.isqrt(n // 3) + 3
     count = 0
     for b in range(-bmax, bmax + 1):
         if (b * b + n) % 4:
             continue
         ac = (b * b + n) // 4
-        for a in range(1, math.isqrt(ac) + 1 + slack):
+        for a in range(1, math.isqrt(ac) + 4):
             if ac % a:
                 continue
             c = ac // a
@@ -361,24 +359,21 @@ class AnalyticEstimate:
     class number h; the cycle count h+ is h or 2h."""
 
     value: float
-    l_value: float
-    regulator: float
     tail_bound: float
     unstable: bool
 
 
-def analytic_estimate_real(D: int, cutoff: int = 10_000) -> AnalyticEstimate:
+def analytic_estimate_real(D: int) -> AnalyticEstimate:
     """Analytic class-number estimate for fundamental D > 0.
 
-    L(1, chi_D) is approximated by the character sum truncated at cutoff;
+    L(1, chi_D) is approximated by the character sum over k <= 10^4;
     the regulator comes from cf_regulator.  tail_bound is the
     Polya-Vinogradov bound on the class-number error induced by the
     truncation; when it exceeds 0.25 the estimate cannot separate adjacent
     integers and the result is flagged unstable rather than rejected.
     """
     _require_fundamental(D, 1)
-    if cutoff < 1_000:
-        raise ValueError("cutoff must be at least 1000")
+    cutoff = 10_000
     l_sum = 0.0
     for k in range(1, cutoff + 1):
         chi = kronecker(D, k)
@@ -390,8 +385,6 @@ def analytic_estimate_real(D: int, cutoff: int = 10_000) -> AnalyticEstimate:
     h_err = sqrt_d * l_tail / (2.0 * reg)
     return AnalyticEstimate(
         value=sqrt_d * l_sum / (2.0 * reg),
-        l_value=l_sum,
-        regulator=reg,
         tail_bound=h_err,
         unstable=h_err > 0.25,
     )

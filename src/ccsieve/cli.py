@@ -33,7 +33,6 @@ from .counting import (
 from .honda import (
     ConfigurationError,
     EnumConfig,
-    HondaWitness,
     enumerate_discriminants,
     read_witnesses_csv,
     validate_witness,
@@ -203,13 +202,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         checked += 1
         problem = None
         try:
-            result = validate_witness(n=n, u=u, m=m, d=d)
-        except ValueError as exc:  # a zero or negative field
+            validate_witness(n=n, u=u, m=m, d=d)
+        except ValueError as exc:
             problem = str(exc)
         else:
-            if not isinstance(result, HondaWitness):
-                problem = f"{result.reason}: {result.detail}"
-            elif d <= previous_d:
+            if d <= previous_d:
                 problem = f"d does not exceed the previous row's d = {previous_d}"
             elif d <= cfg.truth_x_max and not three_divides_real_class_number(d):
                 problem = f"oracle reports 3 does not divide h({d})"
@@ -233,9 +230,8 @@ def cmd_count(cfg: RunConfig) -> int:
     outdir = _outdir(cfg)
     honda_series = honda_count_series(cfg.checkpoints, cfg.enum_config())
     write_series_csv(honda_series, outdir / "n_honda.csv")
-    window = (cfg.checkpoints[0], cfg.checkpoints[-1])
     try:
-        report = fit_slope(honda_series, window)
+        report = fit_slope(honda_series, (cfg.checkpoints[0], cfg.checkpoints[-1]))
     except ValueError as exc:
         print(f"# count: elapsed {time.perf_counter() - t0:.2f}s")
         print(f"slope fit failed: {exc}")
@@ -254,7 +250,8 @@ def cmd_count(cfg: RunConfig) -> int:
     print(f"slope: {report.slope:.4f}")
     print(f"intercept: {report.intercept:.4f}")
     print(f"residual_max: {report.residual_max:.4f}")
-    print(f"window: {window[0]}..{window[1]}")
+    lo, hi = report.window
+    print(f"window: {lo}..{hi}")
     try:
         pinned = fit_slope(honda_series, PINNED_SLOPE_WINDOW)
     except ValueError:

@@ -40,14 +40,9 @@ from typing import Callable, Iterable, NamedTuple
 from .intmath import cubic_has_integer_root, icbrt, is_squarefree
 
 __all__ = [
-    "REJECT_CUBIC",
-    "REJECT_GCD",
-    "REJECT_IDENTITY",
-    "REJECT_SQUAREFREE",
     "ConfigurationError",
     "EnumConfig",
     "HondaWitness",
-    "WitnessRejection",
     "derived_m_max",
     "enumerate_discriminants",
     "parallel_map",
@@ -57,12 +52,6 @@ __all__ = [
     "write_csv",
     "write_witnesses_csv",
 ]
-
-REJECT_IDENTITY = "identity"
-REJECT_GCD = "gcd"
-REJECT_CUBIC = "cubic-root"
-REJECT_SQUAREFREE = "squarefree"
-
 
 class ConfigurationError(ValueError):
     """A run configuration that must be rejected before any sweep starts."""
@@ -76,14 +65,6 @@ class HondaWitness(NamedTuple):
     u: int
     m: int
     d: int
-
-
-class WitnessRejection(NamedTuple):
-    """First failed validation condition, in the fixed order
-    identity / gcd / cubic-root / squarefree."""
-
-    reason: str
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -104,26 +85,26 @@ class EnumConfig:
     shortcut_only: bool = False
 
 
-def validate_witness(n: int, u: int, m: int, d: int) -> HondaWitness | WitnessRejection:
-    """Check the four witness invariants, reporting the first failure.
+def validate_witness(n: int, u: int, m: int, d: int) -> None:
+    """Check the witness conditions; raise ValueError naming the first
+    that fails.
 
-    Order: exact identity, gcd(m, 3n) = 1, no integer cubic root, then
-    d squarefree and >= 2.
+    Order: all fields positive, exact identity, gcd(m, 3n) = 1, no
+    integer cubic root, then d squarefree and >= 2.
     """
     if min(n, u, m, d) < 1:
         raise ValueError("witness components must be positive")
     lhs = 27 * n * n + d * u * u
     rhs = 4 * m * m * m
     if lhs != rhs:
-        return WitnessRejection(REJECT_IDENTITY, f"27*{n}^2 + {d}*{u}^2 = {lhs} != {rhs} = 4*{m}^3")
+        raise ValueError(f"identity: 27*{n}^2 + {d}*{u}^2 = {lhs} != {rhs} = 4*{m}^3")
     g = math.gcd(m, 3 * n)
     if g != 1:
-        return WitnessRejection(REJECT_GCD, f"gcd({m}, 3*{n}) = {g}")
+        raise ValueError(f"gcd: gcd({m}, 3*{n}) = {g}")
     if cubic_has_integer_root(m, n):
-        return WitnessRejection(REJECT_CUBIC, f"X^3 - {m}*X + {n} has an integer root")
+        raise ValueError(f"cubic-root: X^3 - {m}*X + {n} has an integer root")
     if d < 2 or not is_squarefree(d):
-        return WitnessRejection(REJECT_SQUAREFREE, f"d = {d} is not a squarefree integer >= 2")
-    return HondaWitness(n=n, u=u, m=m, d=d)
+        raise ValueError(f"squarefree: d = {d} is not a squarefree integer >= 2")
 
 
 def derived_m_max(X: int, config: EnumConfig) -> int:
@@ -320,13 +301,14 @@ def parallel_map(
 ) -> list:
     """[fn(a, b) for each chunk [a, b] of [lo, hi]], in range order.
 
-    The chunks are at most `workers` consecutive ranges of about equal
-    total cost.  With one worker (or one chunk) fn runs once in this
-    process over the whole range; otherwise each chunk runs in its own
-    process of a pool of exactly as many processes as chunks.
+    The chunks are at most min(workers, CPU count) consecutive ranges of
+    about equal total cost.  With one worker (or one chunk) fn runs once
+    in this process over the whole range; otherwise each chunk runs in its
+    own process of a pool of exactly as many processes as chunks.
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     chunks = [(lo, hi)] if workers == 1 else _chunks(lo, hi, workers, cost)
     if len(chunks) <= 1:
         return [fn(a, b) for a, b in chunks]

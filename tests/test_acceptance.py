@@ -165,7 +165,7 @@ def test_criterion_7_oracle_cross_validation():
         if not is_fundamental_discriminant(D):
             continue
         h_plus = class_number_real_narrow(D)
-        est = analytic_estimate_real(D, 10_000)
+        est = analytic_estimate_real(D)
         if not (abs(est.value - h_plus) <= 0.5 or abs(est.value - h_plus / 2) <= 0.5):
             real_failures.append((D, h_plus, est.value))
     imag_failures = []

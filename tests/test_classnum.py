@@ -230,12 +230,12 @@ class TestRegulator:
 
 class TestAnalyticEstimate:
     def test_examples(self):
-        est5 = analytic_estimate_real(5, 10_000)
-        est8 = analytic_estimate_real(8, 10_000)
+        est5 = analytic_estimate_real(5)
+        est8 = analytic_estimate_real(8)
         assert isinstance(est5, AnalyticEstimate)
         assert abs(est5.value - 1.0) < 0.5 and round(est5.value) == 1
         assert abs(est8.value - 1.0) < 0.5 and round(est8.value) == 1
-        est229 = analytic_estimate_real(229, 10_000)
+        est229 = analytic_estimate_real(229)
         assert abs(est229.value - class_number_real_narrow(229)) < 0.5
         assert round(est229.value) % 3 == 0
 
@@ -244,18 +244,14 @@ class TestAnalyticEstimate:
         # fundamental discriminant below 500
         for D in _fundamental_range(2, 500):
             h_plus = class_number_real_narrow(D)
-            est = analytic_estimate_real(D, 10_000)
+            est = analytic_estimate_real(D)
             assert not est.unstable
             assert (
                 abs(est.value - h_plus) <= 0.5 or abs(est.value - h_plus / 2) <= 0.5
             ), (D, h_plus, est.value)
 
-    def test_cutoff_validation(self):
-        with pytest.raises(ValueError):
-            analytic_estimate_real(5, 999)
-
     def test_instability_flag_tracks_tail_bound(self):
-        est = analytic_estimate_real(5, 10_000)
+        est = analytic_estimate_real(5)
         assert est.tail_bound < 0.25 and not est.unstable
 
 

@@ -182,6 +182,19 @@ class TestCount:
         assert "pinned_slope" not in out
         assert len([l for l in out.splitlines() if l.startswith("slope: ")]) == 1
 
+    def test_window_label_names_fitted_range(self, tmp_path, capsys):
+        # N_honda(2) = 0, so the fit drops X = 2 and the label starts at 100
+        code = run(
+            "count",
+            "--x-max", "10000",
+            "--checkpoints", "2,100,1000,10000",
+            "--truth-x-max", "100",
+            "--out", str(tmp_path),
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "window: 100..10000\n" in out
+
     def test_two_point_window_is_config_error(self, tmp_path):
         code = run(
             "count",

@@ -8,20 +8,16 @@ are verified inline where they matter.
 
 import hashlib
 import math
+import os
 from itertools import chain
 
 import pytest
 
 from ccsieve import honda
 from ccsieve.honda import (
-    REJECT_CUBIC,
-    REJECT_GCD,
-    REJECT_IDENTITY,
-    REJECT_SQUAREFREE,
     ConfigurationError,
     EnumConfig,
     HondaWitness,
-    WitnessRejection,
     _chunks,
     _row_length,
     derived_m_max,
@@ -39,51 +35,47 @@ from ccsieve.classnum import three_divides_real_class_number
 
 class TestValidateWitness:
     def test_valid_example(self):
-        w = validate_witness(n=1, u=1, m=4, d=229)
-        assert w == HondaWitness(n=1, u=1, m=4, d=229)
+        assert validate_witness(n=1, u=1, m=4, d=229) is None
         assert 27 * 1 + 229 * 1 == 4 * 64
 
     def test_gcd_rejection(self):
         # identity holds: 27 + 81 = 108 = 4*27, but gcd(3, 3) = 3
-        res = validate_witness(n=1, u=1, m=3, d=81)
-        assert isinstance(res, WitnessRejection)
-        assert res.reason == REJECT_GCD
+        with pytest.raises(ValueError, match=r"^gcd: gcd\(3, 3\*1\) = 3$"):
+            validate_witness(n=1, u=1, m=3, d=81)
 
     def test_cubic_rejection(self):
         # 27*36 + 400 = 1372 = 4*343 and gcd(7, 18) = 1, but X^3-7X+6 has
         # the root 1, which is hit before the squarefree check of 400
-        res = validate_witness(n=6, u=1, m=7, d=400)
-        assert isinstance(res, WitnessRejection)
-        assert res.reason == REJECT_CUBIC
+        message = r"^cubic-root: X\^3 - 7\*X \+ 6 has an integer root$"
+        with pytest.raises(ValueError, match=message):
+            validate_witness(n=6, u=1, m=7, d=400)
 
     def test_identity_rejection(self):
-        res = validate_witness(n=1, u=1, m=4, d=230)
-        assert isinstance(res, WitnessRejection)
-        assert res.reason == REJECT_IDENTITY
+        message = r"^identity: 27\*1\^2 \+ 230\*1\^2 = 257 != 256 = 4\*4\^3$"
+        with pytest.raises(ValueError, match=message):
+            validate_witness(n=1, u=1, m=4, d=230)
 
     def test_squarefree_rejection(self):
         # 27*16 + 940 = 1372 = 4*343, gcd(7, 12) = 1, X^3-7X+4 rootless
         # (divisors 1, 2, 4 give -2, -2, 40; negatives give 10, 10, -32),
         # but 940 = 2^2 * 235
-        res = validate_witness(n=4, u=1, m=7, d=940)
-        assert isinstance(res, WitnessRejection)
-        assert res.reason == REJECT_SQUAREFREE
+        with pytest.raises(ValueError, match=r"^squarefree: d = 940 is not a squarefree integer >= 2$"):
+            validate_witness(n=4, u=1, m=7, d=940)
 
     def test_rejection_order_is_fixed(self):
         # (n, u, m, d) = (6, 20, 7, 1): identity holds (972 + 400 = 1372)
         # and gcd(7, 18) = 1, but the cubic root at 1 is reported before
         # the d >= 2 violation
-        res = validate_witness(n=6, u=20, m=7, d=1)
-        assert isinstance(res, WitnessRejection)
-        assert res.reason == REJECT_CUBIC
+        with pytest.raises(ValueError, match=r"^cubic-root: "):
+            validate_witness(n=6, u=20, m=7, d=1)
         # gcd is reported before the cubic root when both fail:
         # (n, u, m, d) = (1, 9, 3, 1) has identity 27 + 81 = 108 = 4*27
-        res = validate_witness(n=1, u=9, m=3, d=1)
-        assert isinstance(res, WitnessRejection)
-        assert res.reason == REJECT_GCD
+        with pytest.raises(ValueError, match=r"^gcd: "):
+            validate_witness(n=1, u=9, m=3, d=1)
 
     def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
+        # positivity is checked first, before the identity
+        with pytest.raises(ValueError, match=r"^witness components must be positive$"):
             validate_witness(n=0, u=1, m=4, d=229)
 
 
@@ -104,7 +96,7 @@ class TestEnumerate:
 
     def test_round_trip_validation(self):
         for w in enumerate_discriminants(10_000):
-            assert validate_witness(n=w.n, u=w.u, m=w.m, d=w.d) == w
+            assert validate_witness(n=w.n, u=w.u, m=w.m, d=w.d) is None
 
     def test_identity_conservation(self):
         for w in enumerate_discriminants(5_000):
@@ -204,11 +196,16 @@ def _span(lo, hi):
     return list(range(lo, hi + 1))
 
 
+CPUS = 64  # the CPU count the pool tests pin, whatever the machine has
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace the process pool by an in-process map and record the size
-    each pool is asked for, so no test starts a large pool."""
+    """Replace the process pool by an in-process map, pin os.cpu_count to
+    CPUS and record the size each pool is asked for, so no test starts a
+    large pool."""
     sizes = []
+    monkeypatch.setattr(os, "cpu_count", lambda: CPUS)
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -253,7 +250,17 @@ class TestParallelMap:
         assert parallel_map(_span, 8, 7, 8, no_cost) == []
         assert pool_sizes == []
 
-    def test_two_process_pool_keeps_range_order(self):
+    def test_pool_bounded_by_cpu_count(self, pool_sizes, monkeypatch):
+        parts = parallel_map(_span, 2, 20_000, 20_000, math.isqrt)
+        assert len(parts) == pool_sizes[-1] == CPUS
+        assert list(chain.from_iterable(parts)) == _span(2, 20_000)
+        # an unknown CPU count allows one process: the range runs in-process
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert parallel_map(_span, 2, 10, 20_000, math.isqrt) == [_span(2, 10)]
+        assert pool_sizes == [CPUS]
+
+    def test_two_process_pool_keeps_range_order(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         parts = parallel_map(_span, 2, 3_000, 2, math.isqrt)
         assert len(parts) == 2
         assert list(chain.from_iterable(parts)) == _span(2, 3_000)

@@ -287,8 +287,6 @@ def three_divides_real_class_number(d: int) -> bool:
     Goes through the narrow class number of the fundamental discriminant;
     h+ is h or 2h, so the odd parts coincide and 3|h iff 3|h+.
     """
-    if d < 2:
-        raise ValueError("d must be a squarefree integer >= 2")
     D = fundamental_discriminant(d)
     return class_number_real_narrow(D) % 3 == 0
 

@@ -114,8 +114,12 @@ class RunConfig:
 def _load_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file is not UTF-8: {path}") from exc
     values: dict[str, str] = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -164,18 +168,17 @@ def _validate_config(cfg: RunConfig, command: str) -> None:
         raise ConfigurationError(f"truth_x_max must lie in [2, {TRUTH_X_CAP}]")
     if not 2 <= cfg.scholz_bound <= SCHOLZ_BOUND_CAP:
         raise ConfigurationError(f"scholz_bound must lie in [2, {SCHOLZ_BOUND_CAP}]")
-
-
-def _outdir(cfg: RunConfig) -> Path:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg.out
+    # out, or the nearest ancestor that exists, must be a directory
+    existing = next((p for p in (cfg.out, *cfg.out.parents) if p.exists()), cfg.out)
+    if not existing.is_dir():
+        raise ConfigurationError(f"out={cfg.out}: {existing} is not a directory")
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     """Sweep the witness box up to x_max and write witnesses.csv."""
     t0 = time.perf_counter()
     items = enumerate_discriminants(cfg.x_max, cfg.enum_config())
-    path = _outdir(cfg) / "witnesses.csv"
+    path = cfg.out / "witnesses.csv"
     write_witnesses_csv(items, path)
     print(f"# enumerate: elapsed {time.perf_counter() - t0:.2f}s")
     print(f"witnesses: {len(items)}")
@@ -190,7 +193,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not path.is_file():
         raise ConfigurationError(f"witness file not found: {path} (run enumerate first)")
     t0 = time.perf_counter()
-    checked = passed = failed = previous_d = 0
+    passed = failed = previous_d = 0
     try:
         rows = read_witnesses_csv(path)
     except ValueError as exc:
@@ -199,25 +202,19 @@ def cmd_verify(cfg: RunConfig) -> int:
         rows = []
         failed = 1
     for d, m, n, u in rows:
-        checked += 1
-        problem = None
         try:
             validate_witness(n=n, u=u, m=m, d=d)
-        except ValueError as exc:
-            problem = str(exc)
-        else:
             if d <= previous_d:
-                problem = f"d does not exceed the previous row's d = {previous_d}"
-            elif d <= cfg.truth_x_max and not three_divides_real_class_number(d):
-                problem = f"oracle reports 3 does not divide h({d})"
-        previous_d = d
-        if problem is None:
+                raise ValueError(f"d does not exceed the previous row's d = {previous_d}")
+            if d <= cfg.truth_x_max and not three_divides_real_class_number(d):
+                raise ValueError(f"oracle reports 3 does not divide h({d})")
             passed += 1
-        else:
-            print(f"FAIL row {d},{m},{n},{u}: {problem}")
+        except ValueError as exc:
+            print(f"FAIL row {d},{m},{n},{u}: {exc}")
             failed += 1
+        previous_d = d
     print(f"# verify: elapsed {time.perf_counter() - t0:.2f}s")
-    print(f"checked: {checked}")
+    print(f"checked: {len(rows)}")
     print(f"passed: {passed}")
     print(f"failed: {failed}")
     return EXIT_OK if failed == 0 else EXIT_VERIFY
@@ -227,9 +224,8 @@ def cmd_count(cfg: RunConfig) -> int:
     """Write both count series, check domination, print the slope fits
     over the checkpoint range and over the pinned window."""
     t0 = time.perf_counter()
-    outdir = _outdir(cfg)
     honda_series = honda_count_series(cfg.checkpoints, cfg.enum_config())
-    write_series_csv(honda_series, outdir / "n_honda.csv")
+    write_series_csv(honda_series, cfg.out / "n_honda.csv")
     try:
         report = fit_slope(honda_series, (cfg.checkpoints[0], cfg.checkpoints[-1]))
     except ValueError as exc:
@@ -240,7 +236,7 @@ def cmd_count(cfg: RunConfig) -> int:
     truth_series = None
     if truth_checkpoints:
         truth_series = truth_count_series(truth_checkpoints, workers=cfg.workers)
-        write_series_csv(truth_series, outdir / "n_truth.csv")
+        write_series_csv(truth_series, cfg.out / "n_truth.csv")
         honda_at = dict(honda_series.checkpoints)
         for x, truth_count in truth_series.checkpoints:
             if truth_count < honda_at[x]:
@@ -268,7 +264,7 @@ def cmd_falsify_scholz(cfg: RunConfig) -> int:
     """Search d <= scholz_bound for reflection counterexamples."""
     t0 = time.perf_counter()
     items = scholz_counterexample_search(cfg.scholz_bound, workers=cfg.workers)
-    path = _outdir(cfg) / "counterexamples.csv"
+    path = cfg.out / "counterexamples.csv"
     write_counterexamples_csv(items, path)
     print(f"# falsify-scholz: elapsed {time.perf_counter() - t0:.2f}s")
     print(f"counterexamples: {len(items)}")
@@ -314,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OverflowError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"arithmetic fault: {exc}", file=sys.stderr)
         return EXIT_ARITHMETIC
 

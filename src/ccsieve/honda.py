@@ -18,8 +18,9 @@ excludes.  The cofactor left has no prime factor p with p^3 <= 4*m^3,
 while t(n) < 4*m^3, so it is 1, squarefree or a prime squared, and one
 isqrt settles (u, d).  The n for which X^3 - m*X + n has an integer
 root x are excluded per row as the set of x*(m - x^2), so no pair is
-trial-divided.  The square-root tables cover the primes with
-p^3 <= 4*m_max^3 and are built once per sweep, never at import.
+trial-divided.  One list of the primes with p^3 <= 4*m_max^3, built
+once per sweep and never at import, gives the square-root tables and
+the primes dividing each m.
 
 The package's one process pool (`parallel_map`, ranges split by cost)
 and its one CSV row writer and reader (`write_csv`, `read_csv`) live here.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -132,12 +134,12 @@ def _primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime[p]]
 
 
-def _root_tables(p_hi: int) -> list[tuple[int, int, list[int]]]:
-    """(p, 1/27 mod p, roots) for the primes 5 <= p <= p_hi, where
+def _root_tables(primes: list[int]) -> list[tuple[int, int, list[int]]]:
+    """(p, 1/27 mod p, roots) for the primes p >= 5 in `primes`, where
     roots[v] is the r in [1, p/2) with r^2 = v (mod p), or 0 when v is 0
     or a non-residue."""
     tables = []
-    for p in _primes_upto(p_hi):
+    for p in primes:
         if p < 5:
             continue
         roots = [0] * p
@@ -145,21 +147,6 @@ def _root_tables(p_hi: int) -> list[tuple[int, int, list[int]]]:
             roots[r * r % p] = r
         tables.append((p, pow(27, -1, p), roots))
     return tables
-
-
-def _prime_factors(m: int) -> list[int]:
-    """The distinct primes dividing m >= 1, by trial division."""
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def _cubic_root_ns(m: int, n_hi: int) -> set[int]:
@@ -176,13 +163,13 @@ def _cubic_root_ns(m: int, n_hi: int) -> set[int]:
     return {n for n in ns if n <= n_hi}
 
 
-def _kept_n(m: int, n_hi: int, shortcut_only: bool) -> bytearray:
+def _kept_n(m: int, n_hi: int, shortcut_only: bool, primes: list[int]) -> bytearray:
     """Mask over n in [0, n_hi]: 1 where gcd(m, 3n) = 1 (given 3 does not
     divide m), X^3 - m*X + n is rootless, and, under shortcut_only, 3
-    does not divide n."""
+    does not divide n.  `primes` holds every prime dividing m."""
     keep = bytearray([1]) * (n_hi + 1)
     keep[0] = 0
-    dropped = _prime_factors(m)
+    dropped = [p for p in primes if m % p == 0]
     if shortcut_only:
         dropped.append(3)
     for p in dropped:
@@ -251,7 +238,8 @@ def _sweep_m_range(
     found: dict[int, tuple[int, int, int]] = {}
     if m_hi < max(2, m_lo):
         return found
-    tables = _root_tables(icbrt(4 * m_hi * m_hi * m_hi))
+    primes = _primes_upto(icbrt(4 * m_hi * m_hi * m_hi))
+    tables = _root_tables(primes)
     isqrt = math.isqrt
     for m in range(max(2, m_lo), m_hi + 1):
         if m % 3 == 0 or (shortcut_only and m % 3 != 1):
@@ -259,7 +247,7 @@ def _sweep_m_range(
         t4 = 4 * m * m * m
         n_hi = _row_length(m)
         d_part, u_part = _sieve_row(m, n_hi, tables)
-        for n in compress(range(n_hi + 1), _kept_n(m, n_hi, shortcut_only)):
+        for n in compress(range(n_hi + 1), _kept_n(m, n_hi, shortcut_only, primes)):
             d = d_part[n]
             u = u_part[n]
             c = (t4 - 27 * n * n) // (d * u * u)
@@ -336,13 +324,14 @@ def enumerate_discriminants(X: int, config: EnumConfig = EnumConfig()) -> list[H
 
 def write_csv(path, header: str, rows: Iterable[tuple], comment: str | None = None) -> None:
     """Write an optional `# comment` line, the header and one comma-joined
-    line per row tuple, UTF-8 and LF-terminated.
+    line per row tuple, UTF-8 and LF-terminated, creating the directory.
 
     The lines go to a temporary file beside `path`, which replaces `path`
     only once every row is written and synced to disk; if writing fails,
     `path` is left as it was and the temporary file is removed.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
     try:
@@ -362,20 +351,22 @@ def write_csv(path, header: str, rows: Iterable[tuple], comment: str | None = No
 
 def read_csv(path, header: str) -> list[tuple[int, ...]]:
     """Parse a file of integer rows under `header`, as `write_csv` writes
-    it without a comment; blank lines are skipped."""
-    width = header.count(",") + 1
+    it without a comment; blank lines are skipped, and a field spelt
+    other than a plain decimal integer (0 or -?[1-9][0-9]*) is malformed."""
+    row = re.compile(",".join(["(0|-?[1-9][0-9]*)"] * (header.count(",") + 1)))
     rows: list[tuple[int, ...]] = []
     with open(path, "r", encoding="utf-8") as fh:
         found = fh.readline().strip()
         if found != header:
             raise ValueError(f"unexpected header {found!r}, expected {header!r}")
         for line in fh:
-            fields = line.strip().split(",")
-            if fields == [""]:
+            line = line.strip()
+            if not line:
                 continue
-            if len(fields) != width:
-                raise ValueError(f"malformed row: {line.strip()!r}")
-            rows.append(tuple(map(int, fields)))
+            fields = row.fullmatch(line)
+            if fields is None:
+                raise ValueError(f"malformed row: {line!r}")
+            rows.append(tuple(map(int, fields.groups())))
     return rows
 
 

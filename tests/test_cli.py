@@ -110,6 +110,16 @@ class TestVerify:
         assert "FAIL row 229,4,1,1" in out and "FAIL row 79,7,2,4" in out
         assert "passed: 1" in out and "failed: 2" in out
 
+    def test_non_decimal_spelling_exits_3(self, tmp_path, capsys):
+        # int() would read these as the valid rows 229,4,1,1 and 235,7,4,2
+        rows = "d,m,n,u\n2_29,4,1,1\n+235,7,4,2\n"
+        (tmp_path / "witnesses.csv").write_text(rows, encoding="utf-8")
+        code = run("verify", "--out", str(tmp_path), "--truth-x-max", "300")
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        assert "FAIL parsing" in out and "malformed row: '2_29,4,1,1'" in out
+        assert "checked: 0" in out and "failed: 1" in out
+
     def test_unparseable_file_exits_3(self, tmp_path, capsys):
         (tmp_path / "witnesses.csv").write_text("d,m,n,u\n79,x,2,4\n", encoding="utf-8")
         code = run("verify", "--out", str(tmp_path), "--truth-x-max", "100")
@@ -277,6 +287,24 @@ class TestConfigResolution:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("x_max 300\n", encoding="utf-8")
         assert run("enumerate", "--config", str(cfg)) == EXIT_CONFIG
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"x_max=\xff\n")
+        assert run("enumerate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+        assert "configuration error: config file is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, sub", [("count", ""), ("enumerate", "sub"), ("verify", ""), ("falsify-scholz", "a/b")]
+    )
+    def test_out_under_a_file(self, tmp_path, capsys, command, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        out = afile / sub if sub else afile
+        assert run(command, "--out", str(out)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any stage ran
+        assert f"configuration error: out={out}: {afile} is not a directory" in captured.err
 
     def test_missing_config_file(self, tmp_path):
         assert run("enumerate", "--config", str(tmp_path / "nope.cfg")) == EXIT_CONFIG

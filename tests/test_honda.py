@@ -307,6 +307,12 @@ class TestWitnessCsv:
         path.write_text("wrong,header\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_witnesses_csv(path)
+        # int() accepts every one of these; write_csv never writes them
+        for row in ("2_29,4,1,1", "+235,7,4,2", "079,7,2,4", "229, 4,1,1", "229,4 ,1,1",
+                    "\u0662\u0662\u0669,4,1,1", "-0,4,1,1"):
+            path.write_text(f"d,m,n,u\n{row}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="malformed row"):
+                read_witnesses_csv(path)
 
 
 class TestCsv:
@@ -314,6 +320,11 @@ class TestCsv:
         path = tmp_path / "series.csv"
         write_csv(path, "X,count", [(100, 1), (1_000, 35)], comment="N_honda")
         assert path.read_bytes() == b"# N_honda\nX,count\n100,1\n1000,35\n"
+
+    def test_creates_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "rows.csv"
+        write_csv(path, "a,b", [(1, 2)])
+        assert path.read_bytes() == b"a,b\n1,2\n"
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -6,7 +6,8 @@ fit), falsify-scholz (counterexamples to the imaginary-to-real reflection
 direction).  Each setting is a RunConfig field, set by its flag or by a
 line of a key=value config file, flags winning.  Exit codes: 0 success,
 1 internal arithmetic fault, 2 configuration error, 3 verification
-failure, 4 empty falsification.
+failure, 4 empty falsification.  `main` times each command and ends its
+output with one `# <command>: elapsed` line.
 """
 
 from __future__ import annotations
@@ -176,11 +177,9 @@ def _validate_config(cfg: RunConfig, command: str) -> None:
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     """Sweep the witness box up to x_max and write witnesses.csv."""
-    t0 = time.perf_counter()
     items = enumerate_discriminants(cfg.x_max, cfg.enum_config())
     path = cfg.out / "witnesses.csv"
     write_witnesses_csv(items, path)
-    print(f"# enumerate: elapsed {time.perf_counter() - t0:.2f}s")
     print(f"witnesses: {len(items)}")
     print(f"wrote: {path}")
     return EXIT_OK
@@ -192,7 +191,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     path = cfg.out / "witnesses.csv"
     if not path.is_file():
         raise ConfigurationError(f"witness file not found: {path} (run enumerate first)")
-    t0 = time.perf_counter()
     passed = failed = previous_d = 0
     try:
         rows = read_witnesses_csv(path)
@@ -213,7 +211,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             print(f"FAIL row {d},{m},{n},{u}: {exc}")
             failed += 1
         previous_d = d
-    print(f"# verify: elapsed {time.perf_counter() - t0:.2f}s")
     print(f"checked: {len(rows)}")
     print(f"passed: {passed}")
     print(f"failed: {failed}")
@@ -223,13 +220,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_count(cfg: RunConfig) -> int:
     """Write both count series, check domination, print the slope fits
     over the checkpoint range and over the pinned window."""
-    t0 = time.perf_counter()
     honda_series = honda_count_series(cfg.checkpoints, cfg.enum_config())
     write_series_csv(honda_series, cfg.out / "n_honda.csv")
     try:
         report = fit_slope(honda_series, (cfg.checkpoints[0], cfg.checkpoints[-1]))
     except ValueError as exc:
-        print(f"# count: elapsed {time.perf_counter() - t0:.2f}s")
         print(f"slope fit failed: {exc}")
         return EXIT_CONFIG
     truth_checkpoints = [x for x in cfg.checkpoints if x <= cfg.truth_x_max]
@@ -242,7 +237,6 @@ def cmd_count(cfg: RunConfig) -> int:
             if truth_count < honda_at[x]:
                 print(f"CONTAINMENT VIOLATED at X={x}: truth {truth_count} < honda {honda_at[x]}")
                 return EXIT_VERIFY
-    print(f"# count: elapsed {time.perf_counter() - t0:.2f}s")
     print(f"slope: {report.slope:.4f}")
     print(f"intercept: {report.intercept:.4f}")
     print(f"residual_max: {report.residual_max:.4f}")
@@ -262,11 +256,9 @@ def cmd_count(cfg: RunConfig) -> int:
 
 def cmd_falsify_scholz(cfg: RunConfig) -> int:
     """Search d <= scholz_bound for reflection counterexamples."""
-    t0 = time.perf_counter()
     items = scholz_counterexample_search(cfg.scholz_bound, workers=cfg.workers)
     path = cfg.out / "counterexamples.csv"
     write_counterexamples_csv(items, path)
-    print(f"# falsify-scholz: elapsed {time.perf_counter() - t0:.2f}s")
     print(f"counterexamples: {len(items)}")
     print(f"wrote: {path}")
     if not items:
@@ -306,13 +298,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        t0 = time.perf_counter()
+        code = _COMMANDS[args.command](cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as exc:
         print(f"arithmetic fault: {exc}", file=sys.stderr)
         return EXIT_ARITHMETIC
+    print(f"# {args.command}: elapsed {time.perf_counter() - t0:.2f}s")
+    return code
 
 
 def entrypoint() -> None:

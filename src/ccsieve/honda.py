@@ -350,22 +350,20 @@ def write_csv(path, header: str, rows: Iterable[tuple], comment: str | None = No
 
 
 def read_csv(path, header: str) -> list[tuple[int, ...]]:
-    """Parse a file of integer rows under `header`, as `write_csv` writes
-    it without a comment; blank lines are skipped, and a field spelt
-    other than a plain decimal integer (0 or -?[1-9][0-9]*) is malformed."""
-    row = re.compile(",".join(["(0|-?[1-9][0-9]*)"] * (header.count(",") + 1)))
+    """Parse a file of integer rows under `header`, exactly as `write_csv`
+    writes it without a comment: LF-terminated lines of plain decimal
+    fields (0 or -?[1-9][0-9]*).  Any other line, blank, spaced, with a CR
+    or without its LF, is malformed."""
+    row = re.compile(",".join(["(0|-?[1-9][0-9]*)"] * (header.count(",") + 1)) + "\n")
     rows: list[tuple[int, ...]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        found = fh.readline().strip()
-        if found != header:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        found = fh.readline()
+        if found != header + "\n":
             raise ValueError(f"unexpected header {found!r}, expected {header!r}")
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             fields = row.fullmatch(line)
             if fields is None:
-                raise ValueError(f"malformed row: {line!r}")
+                raise ValueError("malformed row: %r" % line.removesuffix("\n"))
             rows.append(tuple(map(int, fields.groups())))
     return rows
 

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from ccsieve import cli, counting
 from ccsieve.cli import (
+    EXIT_ARITHMETIC,
     EXIT_CONFIG,
     EXIT_EMPTY_FALSIFICATION,
     EXIT_OK,
@@ -24,6 +26,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def run(*argv):
     return main(list(argv))
+
+
+def assert_clock_last(out, command):
+    # match on the "# " prefix: a tmp path in the output may contain "elapsed"
+    lines = out.splitlines()
+    assert [l for l in lines if l.startswith("# ") and "elapsed" in l] == lines[-1:]
+    assert re.fullmatch(rf"# {command}: elapsed \d+\.\d\ds", lines[-1])
 
 
 class TestEnumerate:
@@ -120,6 +129,35 @@ class TestVerify:
         assert "FAIL parsing" in out and "malformed row: '2_29,4,1,1'" in out
         assert "checked: 0" in out and "failed: 1" in out
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "d,m,n,u\r\n229,4,1,1\r\n",  # CRLF
+            "d,m,n,u\n 229,4,1,1\n",  # space before the row
+            "d,m,n,u\n229,4,1,1 \n",  # space after the row
+            "d,m,n,u\n\n229,4,1,1\n",  # blank line
+            "d,m,n,u\n229,4,1,1\n \n",  # whitespace-only line
+            "d,m,n,u\n229,4,1,1",  # no LF after the last row
+        ],
+        ids=["crlf", "space-before", "space-after", "blank-line", "whitespace-line", "no-final-lf"],
+    )
+    def test_spacing_and_line_ends_exit_3(self, tmp_path, capsys, text):
+        (tmp_path / "witnesses.csv").write_bytes(text.encode("utf-8"))
+        code = run("verify", "--out", str(tmp_path), "--truth-x-max", "300")
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        assert "FAIL parsing" in out
+        assert "checked: 0" in out and "failed: 1" in out
+
+    def test_oracle_rejection_exits_3(self, tmp_path, capsys, monkeypatch):
+        run("enumerate", "--x-max", "300", "--out", str(tmp_path))
+        monkeypatch.setattr(cli, "three_divides_real_class_number", lambda d: d != 229)
+        code = run("verify", "--out", str(tmp_path), "--truth-x-max", "300")
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        assert "FAIL row 229,4,1,1: oracle reports 3 does not divide h(229)\n" in out
+        assert "passed: 3" in out and "failed: 1" in out
+
     def test_unparseable_file_exits_3(self, tmp_path, capsys):
         (tmp_path / "witnesses.csv").write_text("d,m,n,u\n79,x,2,4\n", encoding="utf-8")
         code = run("verify", "--out", str(tmp_path), "--truth-x-max", "100")
@@ -205,6 +243,23 @@ class TestCount:
         assert code == EXIT_OK
         assert "window: 100..10000\n" in out
 
+    def test_containment_violation_exits_3(self, tmp_path, capsys, monkeypatch):
+        def zero_series(checkpoints, workers=1):
+            return counting.CountSeries("N_plus_truth", tuple((x, 0) for x in checkpoints))
+
+        monkeypatch.setattr(cli, "truth_count_series", zero_series)
+        code = run(
+            "count",
+            "--x-max", "2000",
+            "--checkpoints", "100,500,1000,2000",
+            "--truth-x-max", "1000",
+            "--out", str(tmp_path),
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        assert out.startswith("CONTAINMENT VIOLATED at X=100: truth 0 < honda 1\n")
+        assert_clock_last(out, "count")
+
     def test_two_point_window_is_config_error(self, tmp_path):
         code = run(
             "count",
@@ -243,6 +298,17 @@ class TestFalsifyScholz:
         first = (tmp_path / "counterexamples.csv").read_bytes()
         run("falsify-scholz", "--scholz-bound", "90", "--out", str(tmp_path))
         assert (tmp_path / "counterexamples.csv").read_bytes() == first
+
+    def test_arithmetic_fault_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fault(D):
+            raise ArithmeticError(f"injected at D={D}")
+
+        monkeypatch.setattr(counting, "class_number_real_narrow", fault)
+        code = run("falsify-scholz", "--scholz-bound", "100", "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == EXIT_ARITHMETIC
+        assert "arithmetic fault: injected at D=" in captured.err
+        assert "elapsed" not in captured.out  # a raising command prints no clock line
 
     def test_range_violation(self, tmp_path):
         assert run("falsify-scholz", "--scholz-bound", "999999999", "--out", str(tmp_path)) == EXIT_CONFIG
@@ -315,6 +381,12 @@ class TestConfigResolution:
             == EXIT_CONFIG
         )
 
+    def test_truth_x_max_below_two(self, tmp_path, capsys):
+        assert run("verify", "--truth-x-max", "1", "--out", str(tmp_path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error: truth_x_max must lie in [2, 2500000]" in captured.err
+
     def test_checkpoint_below_two(self, tmp_path):
         argv = ("--checkpoints", "1,100", "--x-max", "100", "--truth-x-max", "100")
         assert run("count", *argv, "--out", str(tmp_path)) == EXIT_CONFIG
@@ -379,6 +451,28 @@ class TestConfigResolution:
             "pinned_slope: 0.8095 over 1000..1000000",
         ):
             assert line + "\n" in out
+
+
+class TestStageClock:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("enumerate", "--x-max", "300"), EXIT_OK),
+            (("verify", "--truth-x-max", "300"), EXIT_OK),
+            (("count", "--x-max", "2000", "--checkpoints", "100,500,1000,2000",
+              "--truth-x-max", "1000"), EXIT_OK),
+            (("count", "--x-max", "1000", "--checkpoints", "100,1000",
+              "--truth-x-max", "100"), EXIT_CONFIG),  # the slope fit fails
+            (("falsify-scholz", "--scholz-bound", "100"), EXIT_OK),
+            (("falsify-scholz", "--scholz-bound", "4"), EXIT_EMPTY_FALSIFICATION),
+        ],
+        ids=["enumerate", "verify", "count", "count-exit-2", "falsify-scholz", "falsify-scholz-exit-4"],
+    )
+    def test_one_elapsed_line_last(self, tmp_path, capsys, argv, code):
+        run("enumerate", "--x-max", "300", "--out", str(tmp_path))
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path)) == code
+        assert_clock_last(capsys.readouterr().out, argv[0])
 
 
 class TestSubprocessEntry:

@@ -146,6 +146,10 @@ class TestEnumerate:
         with pytest.raises(ConfigurationError):
             enumerate_discriminants(100, EnumConfig(workers=0))
 
+    def test_bad_u_cap(self):
+        with pytest.raises(ConfigurationError, match="u_cap must be >= 1"):
+            enumerate_discriminants(100, EnumConfig(u_cap=0))
+
 
 class TestLargeCounts:
     """N_honda at the default box beyond the reference series."""
@@ -312,6 +316,20 @@ class TestWitnessCsv:
                     "\u0662\u0662\u0669,4,1,1", "-0,4,1,1"):
             path.write_text(f"d,m,n,u\n{row}\n", encoding="utf-8")
             with pytest.raises(ValueError, match="malformed row"):
+                read_witnesses_csv(path)
+        # nor CR, spaces around a row, blank lines, or a line without its LF
+        for text, message in (
+            ("d,m,n,u\r\n229,4,1,1\r\n", "unexpected header"),
+            ("d,m,n,u\n229,4,1,1\r\n", r"malformed row: '229,4,1,1\\r'"),
+            ("d,m,n,u\n 229,4,1,1\n", "malformed row: ' 229,4,1,1'"),
+            ("d,m,n,u\n229,4,1,1 \n", "malformed row: '229,4,1,1 '"),
+            ("d,m,n,u\n\n229,4,1,1\n", "malformed row: ''"),
+            ("d,m,n,u\n229,4,1,1\n \n", "malformed row: ' '"),
+            ("d,m,n,u\n229,4,1,1", "malformed row: '229,4,1,1'"),
+            ("d,m,n,u", "unexpected header"),
+        ):
+            path.write_bytes(text.encode("utf-8"))
+            with pytest.raises(ValueError, match=message):
                 read_witnesses_csv(path)
 
 

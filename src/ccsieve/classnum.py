@@ -21,23 +21,6 @@ from typing import NamedTuple
 
 from .intmath import fundamental_discriminant, is_squarefree
 
-__all__ = [
-    "PRACTICAL_DISCRIMINANT_CAP",
-    "AnalyticEstimate",
-    "QuadraticForm",
-    "analytic_estimate_real",
-    "cf_regulator",
-    "class_number_imaginary",
-    "class_number_real_narrow",
-    "imaginary_count_widened",
-    "is_fundamental_discriminant",
-    "is_reduced_indefinite",
-    "kronecker",
-    "reduced_indefinite_forms",
-    "rho",
-    "three_divides_real_class_number",
-]
-
 # Per discriminant both oracles make about sqrt(|D|) lookups in the
 # square-root table (sqrt(|D|/3) on the imaginary side), and the real one
 # then takes one rho^2 step per reduced form with a > 0, of which there are

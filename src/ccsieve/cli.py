@@ -41,18 +41,6 @@ from .honda import (
 )
 from .classnum import three_divides_real_class_number
 
-__all__ = [
-    "RunConfig",
-    "build_parser",
-    "cmd_count",
-    "cmd_enumerate",
-    "cmd_falsify_scholz",
-    "cmd_verify",
-    "entrypoint",
-    "main",
-    "resolve_config",
-]
-
 EXIT_OK = 0
 EXIT_ARITHMETIC = 1
 EXIT_CONFIG = 2
@@ -72,7 +60,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_checkpoints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return tuple(int(part) for part in text.split(","))
 
 
 def _parse_out(text: str) -> Path:

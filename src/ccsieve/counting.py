@@ -26,22 +26,6 @@ from .classnum import (
 from .honda import ConfigurationError, EnumConfig, enumerate_discriminants, parallel_map, write_csv
 from .intmath import squarefree_decompose
 
-__all__ = [
-    "PINNED_SLOPE_WINDOW",
-    "SCHOLZ_BOUND_CAP",
-    "TRUTH_X_CAP",
-    "CountSeries",
-    "ScholzCounterexample",
-    "SlopeReport",
-    "check_checkpoints",
-    "fit_slope",
-    "honda_count_series",
-    "scholz_counterexample_search",
-    "truth_count_series",
-    "write_counterexamples_csv",
-    "write_series_csv",
-]
-
 # d maps to discriminant 4d at worst, and the falsifier touches Q(sqrt(-3d)).
 TRUTH_X_CAP = PRACTICAL_DISCRIMINANT_CAP // 4
 SCHOLZ_BOUND_CAP = PRACTICAL_DISCRIMINANT_CAP // 12

@@ -41,20 +41,6 @@ from typing import Callable, Iterable, NamedTuple
 
 from .intmath import cubic_has_integer_root, icbrt, is_squarefree
 
-__all__ = [
-    "ConfigurationError",
-    "EnumConfig",
-    "HondaWitness",
-    "derived_m_max",
-    "enumerate_discriminants",
-    "parallel_map",
-    "read_csv",
-    "read_witnesses_csv",
-    "validate_witness",
-    "write_csv",
-    "write_witnesses_csv",
-]
-
 class ConfigurationError(ValueError):
     """A run configuration that must be rejected before any sweep starts."""
 

@@ -9,16 +9,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-__all__ = [
-    "SquarefreeDecomposition",
-    "icbrt",
-    "squarefree_decompose",
-    "is_squarefree",
-    "cubic_has_integer_root",
-    "mod3_shortcut_no_root",
-    "fundamental_discriminant",
-]
-
 
 def icbrt(t: int) -> int:
     """Floor cube root of a nonnegative integer, exactly.

@@ -83,6 +83,20 @@ class TestKronecker:
         assert kronecker(21, 2) == -1  # 21 == 5 (mod 8)
         assert kronecker(12, 2) == 0
 
+    def test_zero_lower_argument(self):
+        # (a|0) is 1 for a = +-1 and 0 otherwise
+        assert [kronecker(a, 0) for a in (-2, -1, 0, 1, 2)] == [0, 1, 0, 1, 0]
+
+    def test_negative_lower_argument(self):
+        # (a|-1) is -1 for a < 0 and 1 otherwise, and (a|-n) = (a|-1) * (a|n)
+        assert kronecker(5, -7) == -1
+        assert kronecker(-5, -7) == -1
+        assert kronecker(0, -1) == 1
+        assert kronecker(-3, -1) == -1
+        for a in range(-20, 21):
+            for n in range(1, 20):
+                assert kronecker(a, -n) == (-1 if a < 0 else 1) * kronecker(a, n)
+
 
 class TestFundamentalPredicate:
     def test_known_values(self):
@@ -193,6 +207,14 @@ class TestReductionStep:
                     if is_reduced_indefinite(form, D):
                         brute.add(form)
             assert brute == set(reduced_indefinite_forms(D))
+
+    def test_reduced_predicate_rejections(self):
+        assert is_reduced_indefinite(QuadraticForm(1, 1, -1), 5)
+        # a form of discriminant 5 tested against D = 13
+        assert not is_reduced_indefinite(QuadraticForm(1, 1, -1), 13)
+        # discriminant 5, but b lies outside (0, isqrt(5)]
+        assert not is_reduced_indefinite(QuadraticForm(1, 3, 1), 5)
+        assert not is_reduced_indefinite(QuadraticForm(1, -1, -1), 5)
 
 
 class TestRegulator:

@@ -399,7 +399,9 @@ class TestConfigResolution:
         assert (tmp_path / "filedir" / "witnesses.csv").is_file()
         assert not (tmp_path / "envdir").exists()
 
-    @pytest.mark.parametrize("line", ["x_max=", "shortcut_only=maybe", "out="])
+    @pytest.mark.parametrize(
+        "line", ["x_max=", "shortcut_only=maybe", "out=", "checkpoints=100,,1000", "checkpoints="]
+    )
     def test_bad_file_value(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n", encoding="utf-8")
@@ -420,7 +422,11 @@ class TestConfigResolution:
         assert blobs["flag"] == (sub / "witnesses.csv").read_bytes() != blobs["file"]
 
     @pytest.mark.parametrize(
-        "flag, value", [("--x-max", "abc"), ("--workers", "two"), ("--out", "")]
+        "flag, value",
+        [
+            ("--x-max", "abc"), ("--workers", "two"), ("--out", ""),
+            ("--checkpoints", "100,,1000"), ("--checkpoints", "100,"), ("--checkpoints", ""),
+        ],
     )
     def test_bad_flag_value(self, tmp_path, capsys, flag, value):
         # the flag comes last, so a bad --out is the one argparse keeps

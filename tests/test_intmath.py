@@ -50,6 +50,10 @@ class TestIcbrt:
             assert icbrt(r**3 - 1) == r - 1
             assert icbrt(r**3 + 1) == r
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="icbrt requires a nonnegative integer"):
+            icbrt(-1)
+
     @settings(deadline=None, max_examples=300)
     @given(
         st.integers(min_value=0, max_value=2**200)

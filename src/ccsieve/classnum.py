@@ -3,44 +3,27 @@
 Negative discriminants get the exact class number by counting reduced
 positive-definite forms.  Positive discriminants get the narrow class
 number h+ by counting cycles of reduced indefinite forms under the
-reduction step rho.  Since h+ = h or 2h, the odd parts of h and h+ agree,
+reduction step.  Since h+ = h or 2h, the odd parts of h and h+ agree,
 so every 3-divisibility question is answered through h+.
-
-An analytic estimate (truncated Kronecker-character L-sum combined with a
-continued-fraction regulator) provides an independent cross-check of the
-cycle counts.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 from .intmath import fundamental_discriminant, is_squarefree
 
 # Per discriminant both oracles make about sqrt(|D|) lookups in the
 # square-root table (sqrt(|D|/3) on the imaginary side), and the real one
-# then takes one rho^2 step per reduced form with a > 0, of which there are
-# O(sqrt(D) log D) on average.  The shared table is grown once to the
-# largest |D| seen: about 6*D bytes for real D and 2*|D| bytes for
-# imaginary D, so 60 MB at this cap.  Past it the oracle stops being a
+# then takes one double reduction step per reduced form with a > 0, of
+# which there are O(sqrt(D) log D) on average.  The shared table is grown
+# once to the largest |D| seen: about 6*D bytes for real D and 2*|D| bytes
+# for imaginary D, so 60 MB at this cap.  Past it the oracle stops being a
 # desk-scale tool; the callers in counting stay below it, and the table's
 # 16-bit entries could not go past a = 32767 (D about 10^9) at all.
 PRACTICAL_DISCRIMINANT_CAP = 10_000_000
-
-
-class QuadraticForm(NamedTuple):
-    """Integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -129,65 +112,9 @@ def class_number_imaginary(D: int) -> int:
     return count
 
 
-def imaginary_count_widened(D: int) -> int:
-    """Recount reduced forms from a deliberately over-wide (b, a) window.
-
-    Enumerates signed b and divisors a, each range 3 past its bound, then
-    filters with the literal reduced-form predicate.  Must agree with
-    class_number_imaginary; exercises completeness and non-overlap of the
-    counting windows.
-    """
-    _require_fundamental(D, -1)
-    n = -D
-    bmax = math.isqrt(n // 3) + 3
-    count = 0
-    for b in range(-bmax, bmax + 1):
-        if (b * b + n) % 4:
-            continue
-        ac = (b * b + n) // 4
-        for a in range(1, math.isqrt(ac) + 4):
-            if ac % a:
-                continue
-            c = ac // a
-            if not abs(b) <= a <= c:
-                continue
-            if b < 0 and (abs(b) == a or a == c):
-                continue
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Real side: narrow class number as the cycle count of reduced forms.
 # ---------------------------------------------------------------------------
-
-
-def is_reduced_indefinite(form: QuadraticForm, D: int) -> bool:
-    """Reduced test for indefinite forms: 0 < b < sqrt(D) and
-    sqrt(D) - b < 2|a| < sqrt(D) + b, evaluated in exact arithmetic."""
-    a, b, c = form
-    if form.discriminant() != D:
-        return False
-    s = math.isqrt(D)
-    if not 0 < b <= s:
-        return False
-    two_a = 2 * abs(a)
-    # sqrt(D) is irrational here, so strict float comparisons become
-    # s - b + 1 <= 2|a| <= s + b on integers.
-    return s - b + 1 <= two_a <= s + b
-
-
-def rho(form: QuadraticForm, D: int) -> QuadraticForm:
-    """Reduction step on reduced indefinite forms of discriminant D.
-
-    Maps (a, b, c) to (c, r, (r^2 - D)/(4c)) where r == -b (mod 2|c|) is
-    the unique representative with sqrt(D) - 2|c| < r < sqrt(D).
-    """
-    _a, b, c = form
-    s = math.isqrt(D)
-    two_c = 2 * abs(c)
-    r = s - (s + b) % two_c
-    return QuadraticForm(c, r, (r * r - D) // (4 * c))
 
 
 def _positive_reduced_forms(D: int) -> list[tuple[int, int]]:
@@ -217,27 +144,15 @@ def _positive_reduced_forms(D: int) -> list[tuple[int, int]]:
     return out
 
 
-def reduced_indefinite_forms(D: int) -> list[QuadraticForm]:
-    """All reduced indefinite forms of fundamental discriminant D, sorted."""
-    _require_fundamental(D, 1)
-    forms = []
-    for a, b in _positive_reduced_forms(D):
-        c = (b * b - D) // (4 * a)
-        forms.append(QuadraticForm(a, b, c))
-        forms.append(QuadraticForm(-a, b, -c))
-    forms.sort()
-    return forms
-
-
 def class_number_real_narrow(D: int) -> int:
     """Narrow class number h+ of the real quadratic field of discriminant D.
 
-    Equals the number of rho-cycles partitioning the reduced indefinite
-    forms of discriminant D.  rho flips the sign of the leading
-    coefficient, so a cycle of length 2L holds exactly L forms with a > 0
-    and they make up one orbit of rho^2; the count is taken over those
-    orbits.  The forms come from the square-root table in about sqrt(D)
-    lookups, and the walk visits each of them once.
+    Equals the number of reduction cycles partitioning the reduced
+    indefinite forms of discriminant D.  The reduction step flips the sign
+    of the leading coefficient, so a cycle of length 2L holds exactly L
+    forms with a > 0 and they make up one orbit of the double step; the
+    count is taken over those orbits.  The forms come from the square-root
+    table in about sqrt(D) lookups, and the walk visits each of them once.
     """
     _require_fundamental(D, 1)
     forms = _positive_reduced_forms(D)
@@ -252,7 +167,7 @@ def class_number_real_narrow(D: int) -> int:
         a, b = start
         for _ in range(limit):
             seen.add((a, b))
-            # rho twice: (a, b, c) -> (c, r, a1) -> (a1, b1, c1), with c < 0 < a1
+            # two steps: (a, b, c) -> (c, r, a1) -> (a1, b1, c1), with c < 0 < a1
             c = (b * b - D) // (4 * a)
             r = s - (s + b) % (-2 * c)
             a = (r * r - D) // (4 * c)
@@ -272,100 +187,3 @@ def three_divides_real_class_number(d: int) -> bool:
     """
     D = fundamental_discriminant(d)
     return class_number_real_narrow(D) % 3 == 0
-
-
-# ---------------------------------------------------------------------------
-# Analytic cross-check: truncated L-sum and continued-fraction regulator.
-# ---------------------------------------------------------------------------
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n): the Jacobi symbol extended to even and
-    nonpositive lower arguments by the standard rules at 2, -1 and 0."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if n < 0:
-        return (-1 if a < 0 else 1) * kronecker(a, -n)
-    t = 1
-    if n % 2 == 0:
-        if a % 2 == 0:
-            return 0
-        # (2|a) for odd a, by a mod 8
-        two_sym = 1 if a % 8 in (1, 7) else -1
-        while n % 2 == 0:
-            n //= 2
-            t *= two_sym
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
-
-
-def cf_regulator(D: int) -> float:
-    """Regulator log(eps) of the quadratic order of discriminant D > 0.
-
-    Runs the exact integer (P, Q) recurrence for the purely periodic
-    continued fraction of (P0 + sqrt(D))/2, with P0 the largest integer
-    below sqrt(D) of the parity of D.  The fundamental unit is the product
-    of the complete quotients over one period, detected by first
-    repetition of the (P, Q) state; the product is accumulated as a sum of
-    logs so the unit never has to be held as an integer.
-    """
-    _require_fundamental(D, 1)
-    s = math.isqrt(D)
-    p0 = s if (s & 1) == (D & 1) else s - 1
-    q0 = 2
-    sqrt_d = math.sqrt(D)
-    p, q = p0, q0
-    reg = 0.0
-    while True:
-        reg += math.log((p + sqrt_d) / q)
-        a = (p + s) // q
-        p = a * q - p
-        q = (D - p * p) // q
-        if (p, q) == (p0, q0):
-            return reg
-
-
-@dataclass(frozen=True)
-class AnalyticEstimate:
-    """sqrt(D) * L(1, chi_D) / (2 * regulator), which targets the wide
-    class number h; the cycle count h+ is h or 2h."""
-
-    value: float
-    tail_bound: float
-    unstable: bool
-
-
-def analytic_estimate_real(D: int) -> AnalyticEstimate:
-    """Analytic class-number estimate for fundamental D > 0.
-
-    L(1, chi_D) is approximated by the character sum over k <= 10^4;
-    the regulator comes from cf_regulator.  tail_bound is the
-    Polya-Vinogradov bound on the class-number error induced by the
-    truncation; when it exceeds 0.25 the estimate cannot separate adjacent
-    integers and the result is flagged unstable rather than rejected.
-    """
-    _require_fundamental(D, 1)
-    cutoff = 10_000
-    l_sum = 0.0
-    for k in range(1, cutoff + 1):
-        chi = kronecker(D, k)
-        if chi:
-            l_sum += chi / k
-    reg = cf_regulator(D)
-    sqrt_d = math.sqrt(D)
-    l_tail = sqrt_d * math.log(D) / cutoff
-    h_err = sqrt_d * l_tail / (2.0 * reg)
-    return AnalyticEstimate(
-        value=sqrt_d * l_sum / (2.0 * reg),
-        tail_bound=h_err,
-        unstable=h_err > 0.25,
-    )

@@ -207,7 +207,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_count(cfg: RunConfig) -> int:
     """Write both count series, check domination, print the slope fits
-    over the checkpoint range and over the pinned window."""
+    over the checkpoint range and over the pinned window.  With no
+    checkpoint <= truth_x_max there is no truth series, and an n_truth.csv
+    left by an earlier run is removed."""
     honda_series = honda_count_series(cfg.checkpoints, cfg.enum_config())
     write_series_csv(honda_series, cfg.out / "n_honda.csv")
     try:
@@ -217,7 +219,9 @@ def cmd_count(cfg: RunConfig) -> int:
         return EXIT_CONFIG
     truth_checkpoints = [x for x in cfg.checkpoints if x <= cfg.truth_x_max]
     truth_series = None
-    if truth_checkpoints:
+    if not truth_checkpoints:
+        (cfg.out / "n_truth.csv").unlink(missing_ok=True)
+    else:
         truth_series = truth_count_series(truth_checkpoints, workers=cfg.workers)
         write_series_csv(truth_series, cfg.out / "n_truth.csv")
         honda_at = dict(honda_series.checkpoints)

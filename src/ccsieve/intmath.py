@@ -102,16 +102,6 @@ def cubic_has_integer_root(m: int, n: int) -> bool:
     return False
 
 
-def mod3_shortcut_no_root(m: int, n: int) -> bool:
-    """Sound fast path for the rootlessness of X^3 - m*X + n.
-
-    When m == 1 (mod 3) and 3 does not divide n, the cubic has no root
-    mod 3 (X^3 == X there, so it reduces to n != 0), hence no integer
-    root.  A False result decides nothing.
-    """
-    return m % 3 == 1 and n % 3 != 0
-
-
 def fundamental_discriminant(d: int) -> int:
     """Discriminant of Q(sqrt(d)) for squarefree d, positive or negative.
 

@@ -25,10 +25,8 @@ from pathlib import Path
 import pytest
 
 from ccsieve.classnum import (
-    analytic_estimate_real,
     class_number_imaginary,
     class_number_real_narrow,
-    imaginary_count_widened,
     is_fundamental_discriminant,
     three_divides_real_class_number,
 )
@@ -39,7 +37,8 @@ from ccsieve.counting import (
     truth_count_series,
 )
 from ccsieve.honda import HondaWitness, enumerate_discriminants, validate_witness
-from ccsieve.intmath import cubic_has_integer_root, mod3_shortcut_no_root
+from ccsieve.intmath import cubic_has_integer_root
+from reference import analytic_estimate_real, imaginary_count_widened, mod3_shortcut_no_root
 
 # Slope of the committed reference run (configs/reference.cfg, window
 # 10^3..10^6); the acceptance band is [S0 - 0.1, 1.0].

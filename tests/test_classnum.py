@@ -14,21 +14,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccsieve.classnum import (
+    class_number_imaginary,
+    class_number_real_narrow,
+    is_fundamental_discriminant,
+    three_divides_real_class_number,
+)
+from ccsieve.intmath import fundamental_discriminant, is_squarefree
+from reference import (
     AnalyticEstimate,
     QuadraticForm,
     analytic_estimate_real,
     cf_regulator,
-    class_number_imaginary,
-    class_number_real_narrow,
+    fundamental_range,
     imaginary_count_widened,
-    is_fundamental_discriminant,
     is_reduced_indefinite,
     kronecker,
     reduced_indefinite_forms,
     rho,
-    three_divides_real_class_number,
 )
-from ccsieve.intmath import fundamental_discriminant, is_squarefree
 
 
 def _h_imaginary_formula(D: int) -> int:
@@ -39,10 +42,6 @@ def _h_imaginary_formula(D: int) -> int:
     total = sum(kronecker(D, k) * k for k in range(1, n))
     assert (w * abs(total)) % (2 * n) == 0
     return w * abs(total) // (2 * n)
-
-
-def _fundamental_range(lo: int, hi: int) -> list[int]:
-    return [D for D in range(lo, hi + 1) if is_fundamental_discriminant(D)]
 
 
 class TestKronecker:
@@ -72,7 +71,7 @@ class TestKronecker:
         assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
     def test_character_periodicity_and_conductor(self):
-        for D in _fundamental_range(-60, 60):
+        for D in fundamental_range(-60, 60):
             period = abs(D)
             for n in range(1, 2 * period):
                 assert kronecker(D, n) == kronecker(D, n + period)
@@ -113,8 +112,8 @@ class TestFundamentalPredicate:
     def test_counts_in_range(self):
         # density sanity: both signs give the same number of fundamental
         # discriminants in symmetric ranges of this size
-        assert len(_fundamental_range(-500, -1)) == 153
-        assert len(_fundamental_range(2, 500)) == 153
+        assert len(fundamental_range(-500, -1)) == 153
+        assert len(fundamental_range(2, 500)) == 153
 
 
 class TestImaginary:
@@ -128,11 +127,11 @@ class TestImaginary:
         assert type(class_number_imaginary(-23)) is int
 
     def test_against_character_formula(self):
-        for D in _fundamental_range(-500, -1):
+        for D in fundamental_range(-500, -1):
             assert class_number_imaginary(D) == _h_imaginary_formula(D)
 
     def test_widened_window_stability(self):
-        for D in _fundamental_range(-500, -1):
+        for D in fundamental_range(-500, -1):
             assert imaginary_count_widened(D) == class_number_imaginary(D)
 
     def test_domain_errors(self):
@@ -170,7 +169,7 @@ class TestReductionStep:
     def test_rho_closure_and_conservation(self):
         # rho maps reduced forms to reduced forms of the same discriminant,
         # and iterating returns to the start: for every fundamental D <= 2000
-        for D in _fundamental_range(2, 2000):
+        for D in fundamental_range(2, 2000):
             forms = reduced_indefinite_forms(D)
             form_set = set(forms)
             assert len(forms) % 2 == 0  # (a,b,c) pairs with (-a,b,-c)
@@ -180,7 +179,7 @@ class TestReductionStep:
                 assert is_reduced_indefinite(g, D)
                 assert g in form_set
         # explicit orbit closure on a moderate subrange
-        for D in _fundamental_range(2, 300):
+        for D in fundamental_range(2, 300):
             forms = reduced_indefinite_forms(D)
             for f in forms:
                 g = rho(f, D)
@@ -228,7 +227,7 @@ class TestRegulator:
     def test_pell_unit_exactness(self):
         # rebuild the unit as exact integers (x + y*sqrt(D))/2 from the same
         # period and require x^2 - D y^2 = +-4, which only units satisfy
-        for D in _fundamental_range(2, 300):
+        for D in fundamental_range(2, 300):
             s = math.isqrt(D)
             p0 = s if (s & 1) == (D & 1) else s - 1
             p, q = p0, 2
@@ -264,7 +263,7 @@ class TestAnalyticEstimate:
     def test_matches_cycle_count_up_to_unit_norm(self):
         # h-estimate must land within 0.5 of h+ or h+/2 for every
         # fundamental discriminant below 500
-        for D in _fundamental_range(2, 500):
+        for D in fundamental_range(2, 500):
             h_plus = class_number_real_narrow(D)
             est = analytic_estimate_real(D)
             assert not est.unstable

@@ -243,6 +243,15 @@ class TestCount:
         assert code == EXIT_OK
         assert "window: 100..10000\n" in out
 
+    def test_run_without_truth_checkpoint_removes_stale_series(self, tmp_path):
+        # an n_truth.csv left by an earlier run is not a series this run computed
+        argv = ("count", "--x-max", "2000", "--checkpoints", "100,500,1000,2000",
+                "--out", str(tmp_path))
+        assert run(*argv, "--truth-x-max", "1000") == EXIT_OK
+        assert (tmp_path / "n_truth.csv").is_file()
+        assert run(*argv, "--truth-x-max", "50") == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["n_honda.csv"]
+
     def test_containment_violation_exits_3(self, tmp_path, capsys, monkeypatch):
         def zero_series(checkpoints, workers=1):
             return counting.CountSeries("N_plus_truth", tuple((x, 0) for x in checkpoints))
@@ -448,6 +457,7 @@ class TestConfigResolution:
         argv = ("count", "--config", str(CONFIGS / "reference.cfg"), "--out", str(tmp_path))
         assert run(*argv) == EXIT_OK
         assert (tmp_path / "n_honda.csv").read_bytes() == (CONFIGS / "reference_n_honda.csv").read_bytes()
+        assert (tmp_path / "n_truth.csv").read_bytes() == (CONFIGS / "reference_n_truth.csv").read_bytes()
         out = capsys.readouterr().out
         for line in (
             "slope: 0.9676",

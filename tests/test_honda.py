@@ -29,7 +29,7 @@ from ccsieve.honda import (
     write_csv,
     write_witnesses_csv,
 )
-from ccsieve.intmath import is_squarefree
+from ccsieve.intmath import icbrt, is_squarefree
 from ccsieve.classnum import three_divides_real_class_number
 
 
@@ -286,6 +286,27 @@ class TestMBound:
         X = 5_000
         m_hi = derived_m_max(X, cfg)
         assert 4 * (m_hi + 1) ** 3 > X * cfg.u_cap**2 + 27 * cfg.n_max**2
+
+    @pytest.mark.parametrize("X, box_size", [(20_000, 139), (1_000_000, 873)])
+    def test_box_complete_and_lex_least(self, X, box_size):
+        # brute force over the guaranteed box u <= 4, n <= 32: every d with
+        # a witness there is emitted, with a witness lex-<= its least one
+        box: dict[int, tuple[int, int, int]] = {}
+        for m in range(1, icbrt((16 * X + 27 * 32**2) // 4) + 1):
+            for n in range(1, 33):
+                for u in range(1, 5):
+                    d, rem = divmod(4 * m**3 - 27 * n * n, u * u)
+                    if rem or not 2 <= d <= X:
+                        continue
+                    try:
+                        validate_witness(n=n, u=u, m=m, d=d)
+                    except ValueError:
+                        continue
+                    box.setdefault(d, (m, n, u))  # ascending (m, n, u): the first is least
+        emitted = {w.d: (w.m, w.n, w.u) for w in enumerate_discriminants(X)}
+        assert len(box) == box_size
+        assert [d for d in box if d not in emitted] == []
+        assert [d for d in box if emitted[d] > box[d]] == []
 
 
 class TestWitnessCsv:

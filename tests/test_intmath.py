@@ -17,9 +17,9 @@ from ccsieve.intmath import (
     fundamental_discriminant,
     icbrt,
     is_squarefree,
-    mod3_shortcut_no_root,
     squarefree_decompose,
 )
+from reference import mod3_shortcut_no_root
 
 
 def _squarefree_sieve(n: int) -> bytearray:

@@ -14,14 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccsieve.classnum import (
-    QuadraticForm,
     _root_table,
     class_number_imaginary,
     class_number_real_narrow,
     is_fundamental_discriminant,
-    reduced_indefinite_forms,
-    rho,
 )
+from reference import QuadraticForm, fundamental_range, reduced_indefinite_forms, rho
 
 REFERENCE_RANGE = 10_000
 
@@ -85,21 +83,15 @@ def _rho_cycle_count(forms: list[QuadraticForm], D: int) -> int:
     return cycles
 
 
-def _fundamental(lo: int, hi: int) -> list[int]:
-    # no fundamental discriminant is a perfect square, so every positive
-    # one is a valid input of the real oracle
-    return [D for D in range(lo, hi + 1) if is_fundamental_discriminant(D)]
-
-
 class TestAgainstTrialDivision:
     def test_real_forms_and_cycles(self):
-        for D in _fundamental(5, REFERENCE_RANGE):
+        for D in fundamental_range(5, REFERENCE_RANGE):
             reference = sorted(QuadraticForm(*t) for t in reference_reduced_triples(D))
             assert reduced_indefinite_forms(D) == reference, D
             assert class_number_real_narrow(D) == _rho_cycle_count(reference, D), D
 
     def test_imaginary_counts(self):
-        for D in _fundamental(-REFERENCE_RANGE, -3):
+        for D in fundamental_range(-REFERENCE_RANGE, -3):
             assert class_number_imaginary(D) == reference_class_number_imaginary(D), D
 
 

@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from typing import Iterator
 
 from .intmath import fundamental_discriminant, is_squarefree
 
 # Per discriminant both oracles make about sqrt(|D|) lookups in the
-# square-root table (sqrt(|D|/3) on the imaginary side), and the real one
-# then takes one double reduction step per reduced form with a > 0, of
-# which there are O(sqrt(D) log D) on average.  The shared table is grown
+# square-root table (sqrt(|D|/3) on the imaginary side) and count most root
+# classes by their size alone: the imaginary one reads the roots only for
+# sqrt(|D|)/2 < a <= sqrt(|D|/3), the real one takes one bisection per
+# a > sqrt(D)/2.  The real one then takes one double reduction step per
+# reduced form with a > 0, of which there are O(sqrt(D) log D) on average,
+# and stops once its cycles hold them all.  The shared table is grown
 # once to the largest |D| seen: about 6*D bytes for real D and 2*|D| bytes
 # for imaginary D, so 60 MB at this cap.  Past it the oracle stops being a
 # desk-scale tool; the callers in counting stay below it, and the table's
@@ -87,16 +92,24 @@ def class_number_imaginary(D: int) -> int:
     Counts reduced positive-definite forms (a, b, c): |b| <= a <= c with
     b >= 0 whenever |b| = a or a = c.  Loops over a <= sqrt(|D|/3) and
     takes the b in (-a, a] with b^2 == D (mod 4a) from the square-root
-    table, keeping those with c = (b^2 - D)/(4a) >= a.  That is about
-    sqrt(|D|/3) table lookups per call; the table itself costs O(|D|/3)
-    to build once, shared by every later call with a smaller |D|.
+    table, keeping those with c = (b^2 - D)/(4a) >= a.  While 4a^2 <= |D|
+    every root gives c >= a, so the count adds the size of its root class
+    without reading it; only the a in (sqrt(|D|)/2, sqrt(|D|/3)] walk their
+    roots.  That is about sqrt(|D|/3) table lookups per call; the table
+    itself costs O(|D|/3) to build once, shared by every later call with a
+    smaller |D|.
     """
     _require_fundamental(D, -1)
     n = -D
     a_max = math.isqrt(n // 3)
+    a_all = math.isqrt(n) // 2  # the largest a with 4a^2 <= n
     offsets, roots = _root_table(a_max)
     count = 0
-    for a in range(1, a_max + 1):
+    for a in range(1, a_all + 1):
+        offs = offsets[a]
+        k = D % (4 * a)
+        count += offs[k + 1] - offs[k]
+    for a in range(a_all + 1, a_max + 1):
         offs = offsets[a]
         k = D % (4 * a)
         lo, hi = offs[k], offs[k + 1]
@@ -116,32 +129,46 @@ def class_number_imaginary(D: int) -> int:
 # Real side: narrow class number as the cycle count of reduced forms.
 # ---------------------------------------------------------------------------
 
+# The reduced indefinite forms (a, b, c) of discriminant D with a > 0 are,
+# for each a <= s = isqrt(D), the root classes r of b^2 == D (mod 4a), each
+# with its one representative b = s - (s - r) % 2a in the window
+# (s - 2a, s], kept when b > 0 and 2a <= s + b.  For 2a <= s every class
+# qualifies; for 2a > s the window's nonnegative part is [0, s], so b = r
+# and the forms are the roots in [2a - s, s].
 
-def _positive_reduced_forms(D: int) -> list[tuple[int, int]]:
-    """(a, b) of every reduced indefinite form (a, b, c) of discriminant D
-    with a > 0.
 
-    For each a <= s = isqrt(D), each root class r of b^2 == D (mod 4a)
-    has exactly one representative b = s - (s - r) % 2a in the window
-    (s - 2a, s]; the form is reduced when b > 0 and 2a <= s + b.  That is
-    about sqrt(D) table lookups per call.
-    """
-    s = math.isqrt(D)
+def _reduced_form_count(D: int, s: int) -> int:
+    """Number of reduced indefinite forms of discriminant D with a > 0,
+    s = isqrt(D): one table lookup and at most one bisection per a."""
     offsets, roots = _root_table(s)
-    out: list[tuple[int, int]] = []
-    for a in range(1, s + 1):
+    count = 0
+    for a in range(1, s // 2 + 1):
+        offs = offsets[a]
+        k = D % (4 * a)
+        count += offs[k + 1] - offs[k]
+    for a in range(s // 2 + 1, s + 1):
         offs = offsets[a]
         k = D % (4 * a)
         lo, hi = offs[k], offs[k + 1]
-        if lo == hi:
-            continue
+        if lo < hi:
+            rts = roots[a]
+            count += bisect_right(rts, s, lo, hi) - bisect_left(rts, 2 * a - s, lo, hi)
+    return count
+
+
+def _reduced_forms(D: int, s: int) -> Iterator[tuple[int, int]]:
+    """(a, b) of the reduced indefinite forms of discriminant D with a > 0,
+    in ascending a, generated lazily."""
+    offsets, roots = _root_table(s)
+    for a in range(1, s + 1):
+        offs = offsets[a]
+        k = D % (4 * a)
         two_a = 2 * a
-        b_min = max(1, two_a - s)
-        for r in roots[a][lo:hi]:
+        b_min = two_a - s
+        for r in roots[a][offs[k] : offs[k + 1]]:
             b = s - (s - r) % two_a
             if b >= b_min:
-                out.append((a, b))
-    return out
+                yield a, b
 
 
 def class_number_real_narrow(D: int) -> int:
@@ -151,32 +178,40 @@ def class_number_real_narrow(D: int) -> int:
     indefinite forms of discriminant D.  The reduction step flips the sign
     of the leading coefficient, so a cycle of length 2L holds exactly L
     forms with a > 0 and they make up one orbit of the double step; the
-    count is taken over those orbits.  The forms come from the square-root
-    table in about sqrt(D) lookups, and the walk visits each of them once.
+    count is taken over those orbits.  The forms are counted first, in
+    about sqrt(D) table lookups, then the walk takes its starts from them
+    in ascending a and stops as soon as its cycles hold every counted
+    form, so it visits each form once and never holds a list of them.
+    A cycle that does not close within the count, or cycles that
+    do not cover it, raise ArithmeticError.
     """
     _require_fundamental(D, 1)
-    forms = _positive_reduced_forms(D)
     s = math.isqrt(D)
-    seen: set[tuple[int, int]] = set()
+    total = _reduced_form_count(D, s)
+    width = s + 1  # a form (a, b) has the key a * width + b, 0 < b <= s
+    seen: set[int] = set()
     cycles = 0
-    limit = len(forms) + 1
-    for start in forms:
+    for a, b in _reduced_forms(D, s):
+        start = a * width + b
         if start in seen:
             continue
         cycles += 1
-        a, b = start
-        for _ in range(limit):
-            seen.add((a, b))
+        key = start
+        for _ in range(total - len(seen)):
+            seen.add(key)
             # two steps: (a, b, c) -> (c, r, a1) -> (a1, b1, c1), with c < 0 < a1
             c = (b * b - D) // (4 * a)
             r = s - (s + b) % (-2 * c)
             a = (r * r - D) // (4 * c)
             b = s - (s + r) % (2 * a)
-            if (a, b) == start:
+            key = a * width + b
+            if key == start:
                 break
         else:
             raise ArithmeticError(f"reduction cycle failed to close for D={D}")
-    return cycles
+        if len(seen) == total:
+            return cycles
+    raise ArithmeticError(f"reduction cycles do not cover the {total} reduced forms of D={D}")
 
 
 def three_divides_real_class_number(d: int) -> bool:

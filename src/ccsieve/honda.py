@@ -39,7 +39,7 @@ from itertools import accumulate, compress
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from .intmath import cubic_has_integer_root, icbrt, is_squarefree
+from .intmath import cubic_has_integer_root, icbrt, is_squarefree, primes_upto
 
 class ConfigurationError(ValueError):
     """A run configuration that must be rejected before any sweep starts."""
@@ -109,15 +109,6 @@ def _check_sweep_config(X: int, config: EnumConfig) -> int:
     if X > config.x_cap:
         raise ConfigurationError(f"X={X} exceeds the enumeration cap {config.x_cap}")
     return derived_m_max(X, config)
-
-
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, by the sieve of Eratosthenes."""
-    is_prime = bytearray([1]) * (n + 1)
-    for p in range(2, math.isqrt(n) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(2, n + 1) if is_prime[p]]
 
 
 def _root_tables(primes: list[int]) -> list[tuple[int, int, list[int]]]:
@@ -224,7 +215,7 @@ def _sweep_m_range(
     found: dict[int, tuple[int, int, int]] = {}
     if m_hi < max(2, m_lo):
         return found
-    primes = _primes_upto(icbrt(4 * m_hi * m_hi * m_hi))
+    primes = primes_upto(icbrt(4 * m_hi * m_hi * m_hi))
     tables = _root_tables(primes)
     isqrt = math.isqrt
     for m in range(max(2, m_lo), m_hi + 1):

@@ -40,19 +40,32 @@ class SquarefreeDecomposition(NamedTuple):
     squarefree_part: int
 
 
-def squarefree_decompose(t: int) -> SquarefreeDecomposition:
-    """Split t >= 1 as t = u^2 * d with d squarefree.
+def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    is_prime = bytearray([1]) * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if is_prime[p]]
 
-    Trial-divides while p^3 <= cofactor; the surviving cofactor then has at
-    most two prime factors, so it is squarefree unless it is a perfect
-    square (detected exactly by isqrt).
+
+# The product of the primes below _SMALL, so gcd(t, _SMALL_PRIMORIAL) is the
+# product of the small primes dividing t; a cofactor free of them and below
+# _SMALL^3 has at most two prime factors.
+_SMALL = 1000
+_SMALL_PRIMORIAL = math.prod(primes_upto(_SMALL - 1))
+
+
+def _split_large(c: int) -> tuple[int, int]:
+    """(u, d) with c = u^2 * d and d squarefree, for c with no prime factor
+    below _SMALL.
+
+    Trial-divides from _SMALL + 1 while p^3 <= c, which never happens below
+    _SMALL^3; the cofactor left has at most two prime factors, so it is
+    squarefree unless it is a perfect square (detected exactly by isqrt).
     """
-    if t < 1:
-        raise ValueError("squarefree_decompose requires t >= 1")
-    u = 1
-    d = 1
-    c = t
-    p = 2
+    u = d = 1
+    p = _SMALL + 1
     while p * p * p <= c:
         if c % p == 0:
             e = 0
@@ -62,44 +75,73 @@ def squarefree_decompose(t: int) -> SquarefreeDecomposition:
             if e & 1:
                 d *= p
             u *= p ** (e >> 1)
-        p += 1 if p == 2 else 2
+        p += 2
     r = math.isqrt(c)
     if r * r == c:
-        u *= r
-    else:
-        d *= c
-    return SquarefreeDecomposition(u, d)
+        return u * r, d
+    return u, d * c
+
+
+def squarefree_decompose(t: int) -> SquarefreeDecomposition:
+    """Split t >= 1 as t = u^2 * d with d squarefree.
+
+    The small primes come out by gcds, not trial division: with g_1 the
+    product of the small primes dividing t and g_{k+1} = gcd(t / (g_1 ...
+    g_k), g_k), g_k is the product of those whose exponent is at least k,
+    so u takes g_2 * g_4 * ... and d takes g_1/g_2 * g_3/g_4 * ...  The
+    cofactor left goes to _split_large.
+    """
+    if t < 1:
+        raise ValueError("squarefree_decompose requires t >= 1")
+    g = math.gcd(t, _SMALL_PRIMORIAL)
+    c = t // g
+    u = d = 1
+    while g > 1:
+        h = math.gcd(c, g)
+        c //= h
+        d *= g // h
+        g = math.gcd(c, h)
+        c //= g
+        u *= h
+    cu, cd = _split_large(c)
+    return SquarefreeDecomposition(u * cu, d * cd)
 
 
 def is_squarefree(t: int) -> bool:
-    """True iff no prime square divides t (t >= 1)."""
-    return squarefree_decompose(t).square_part == 1
+    """True iff no prime square divides t (t >= 1).
 
-
-def _positive_divisors(n: int) -> list[int]:
-    divs = []
-    r = math.isqrt(n)
-    for x in range(1, r + 1):
-        if n % x == 0:
-            divs.append(x)
-            y = n // x
-            if y != x:
-                divs.append(y)
-    return divs
+    With g the product of the small primes dividing t, no small prime
+    divides t twice iff gcd(t / g, g) = 1, and then the cofactor t / g is
+    free of small primes and goes to _split_large.
+    """
+    if t < 1:
+        raise ValueError("is_squarefree requires t >= 1")
+    g = math.gcd(t, _SMALL_PRIMORIAL)
+    c = t // g
+    return math.gcd(c, g) == 1 and _split_large(c)[0] == 1
 
 
 def cubic_has_integer_root(m: int, n: int) -> bool:
     """True iff X^3 - m*X + n has an integer root, for m, n >= 1.
 
-    Any integer root of a monic integer polynomial divides the constant
-    term, so only divisors of n (both signs) need testing.
+    A root x gives n = x*(m - x^2).  A positive root has x^2 < m, so
+    x <= isqrt(m - 1) covers them.  A negative root -y has y^2 > m and
+    n = y*(y^2 - m) < y^3, and y*(y^2 - m) grows with y there, so the
+    scan steps up from max(isqrt(m - 1) + 1, icbrt(n)) while the value
+    is below n: about sqrt(m) steps either way, with no divisor list.
+    (icbrt is only taken when n > (isqrt(m - 1) + 1)^3, which no row of
+    the sweep reaches, since 27n^2 < 4m^3 there.)
     """
-    for r in _positive_divisors(n):
-        if r * r * r - m * r + n == 0:
+    r = math.isqrt(m - 1)
+    for x in range(1, r + 1):
+        if x * (m - x * x) == n:
             return True
-        if -(r * r * r) + m * r + n == 0:
-            return True
-    return False
+    y = r + 1
+    if y * y * y < n:
+        y = icbrt(n)
+    while y * (y * y - m) < n:
+        y += 1
+    return y * (y * y - m) == n
 
 
 def fundamental_discriminant(d: int) -> int:

@@ -2,23 +2,27 @@
 
 Nothing here runs on a CLI path.  The form API (QuadraticForm,
 is_reduced_indefinite, rho, reduced_indefinite_forms) spells out the
-reduction step that class_number_real_narrow inlines as its rho^2 walk.
+reduction step that class_number_real_narrow inlines as its rho^2 walk,
+and lists the reduced forms that the oracle only counts.
 The analytic estimate (a truncated Kronecker-character L-sum combined
 with a continued-fraction regulator) and the widened-window recount are
 independent routes to the class numbers, and mod3_shortcut_no_root is
-the sufficient condition for rootlessness behind --shortcut-only.
+the sufficient condition for rootlessness behind --shortcut-only;
+cubic_root_by_divisors is the divisor scan that cubic_has_integer_root
+replaced.
 Import with `from reference import ...`: pytest puts tests/ on sys.path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from ccsieve.classnum import (
-    _positive_reduced_forms,
     _require_fundamental,
+    _root_table,
     is_fundamental_discriminant,
 )
 
@@ -97,6 +101,33 @@ def rho(form: QuadraticForm, D: int) -> QuadraticForm:
     two_c = 2 * abs(c)
     r = s - (s + b) % two_c
     return QuadraticForm(c, r, (r * r - D) // (4 * c))
+
+
+def _positive_reduced_forms(D: int) -> list[tuple[int, int]]:
+    """(a, b) of every reduced indefinite form (a, b, c) of discriminant D
+    with a > 0.
+
+    For each a <= s = isqrt(D), each root class r of b^2 == D (mod 4a)
+    has exactly one representative b = s - (s - r) % 2a in the window
+    (s - 2a, s]; the form is reduced when b > 0 and 2a <= s + b.  That is
+    about sqrt(D) table lookups per call.
+    """
+    s = math.isqrt(D)
+    offsets, roots = _root_table(s)
+    out: list[tuple[int, int]] = []
+    for a in range(1, s + 1):
+        offs = offsets[a]
+        k = D % (4 * a)
+        lo, hi = offs[k], offs[k + 1]
+        if lo == hi:
+            continue
+        two_a = 2 * a
+        b_min = max(1, two_a - s)
+        for r in roots[a][lo:hi]:
+            b = s - (s - r) % two_a
+            if b >= b_min:
+                out.append((a, b))
+    return out
 
 
 def reduced_indefinite_forms(D: int) -> list[QuadraticForm]:
@@ -211,3 +242,27 @@ def mod3_shortcut_no_root(m: int, n: int) -> bool:
     root.  A False result decides nothing.
     """
     return m % 3 == 1 and n % 3 != 0
+
+
+@functools.cache
+def _cubic_root_ms(n: int) -> frozenset[int]:
+    """The m >= 1 for which X^3 - m*X + n has an integer root, n >= 1.
+
+    Any integer root of a monic integer polynomial divides the constant
+    term, so the roots are r or -r for the divisors r of n, and
+    r^3 - m*r + n = 0 or -r^3 + m*r + n = 0 gives m = r^2 + n/r or
+    m = r^2 - n/r.
+    """
+    ms = set()
+    for x in range(1, math.isqrt(n) + 1):
+        if n % x == 0:
+            for r in (x, n // x):
+                ms.add(r * r + n // r)
+                ms.add(r * r - n // r)
+    return frozenset(m for m in ms if m >= 1)
+
+
+def cubic_root_by_divisors(m: int, n: int) -> bool:
+    """True iff X^3 - m*X + n has an integer root, for m, n >= 1, by the
+    divisor scan over n (cached per n)."""
+    return m in _cubic_root_ms(n)

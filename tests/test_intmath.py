@@ -2,7 +2,8 @@
 
 Expected values marked with an oracle were computed by the independent
 routes coded in this file (incremental root scans, a p^2-marking sieve,
-full-range root scans), not by the functions under test.
+full-range root scans) and the divisor scan of reference.py, not by the
+functions under test.
 """
 
 import math
@@ -19,7 +20,7 @@ from ccsieve.intmath import (
     is_squarefree,
     squarefree_decompose,
 )
-from reference import mod3_shortcut_no_root
+from reference import cubic_root_by_divisors, mod3_shortcut_no_root
 
 
 def _squarefree_sieve(n: int) -> bytearray:
@@ -108,9 +109,38 @@ class TestSquarefreeDecompose:
         assert (dec.square_part, dec.squarefree_part) == (u0, d0)
 
     def test_is_squarefree(self):
-        flags = _squarefree_sieve(5_000)
-        for t in range(1, 5_001):
+        flags = _squarefree_sieve(1_000_000)
+        for t in range(1, 1_000_001):
             assert is_squarefree(t) == bool(flags[t])
+
+    def test_is_squarefree_zero_rejected(self):
+        with pytest.raises(ValueError):
+            is_squarefree(0)
+
+    def test_primes_at_the_small_prime_bound(self):
+        # 997 is the last prime below 1000, 1009 and 1013 the first two above
+        # it, so 997 comes out by gcds and 1009, 1013 stay in the cofactor
+        assert all(p % q for p in (997, 1009, 1013) for q in range(2, 32))
+        cases = {
+            997**2: (997, 1),
+            1009**2: (1009, 1),
+            1009**2 * 1013: (1009, 1013),
+            997 * 1009: (1, 997 * 1009),
+            997**3 * 1009**3: (997 * 1009, 997 * 1009),
+        }
+        for t, parts in cases.items():
+            assert tuple(squarefree_decompose(t)) == parts, t
+            assert is_squarefree(t) == (parts[0] == 1), t
+
+    def test_cofactor_above_the_trial_division_bound(self):
+        # 1013^2 * (10^9 + 7) has no prime factor below 1000 and exceeds
+        # 1000^3, so only trial division from 1001 upward finds the square
+        big_prime = 10**9 + 7
+        assert all(big_prime % p for p in range(2, math.isqrt(big_prime) + 1))
+        t = 1013**2 * big_prime
+        assert squarefree_decompose(t) == SquarefreeDecomposition(1013, big_prime)
+        assert not is_squarefree(t)
+        assert is_squarefree(1013 * big_prime)
 
 
 class TestCubicRoot:
@@ -118,6 +148,29 @@ class TestCubicRoot:
         assert cubic_has_integer_root(4, 1) is False  # r in {1,-1}: -2 and 4
         assert cubic_has_integer_root(7, 6) is True  # r = 1: 1 - 7 + 6 = 0
         assert cubic_has_integer_root(1, 1) is False  # r in {1,-1}: 1 and 1
+
+    def test_one_real_root_with_a_negative_root(self):
+        # 27n^2 >= 4m^3: one real root, here -2
+        assert cubic_has_integer_root(1, 6) is True  # -8 + 2 + 6 = 0
+        assert cubic_has_integer_root(2, 4) is True  # -8 + 4 + 4 = 0
+        assert cubic_has_integer_root(1, 5) is False
+        assert cubic_has_integer_root(2, 5) is False
+
+    def test_large_n_small_m(self):
+        # n = y*(y^2 - m) makes -y a root; n - 1 and n + 1 fall strictly
+        # between the values at -(y - 1), -y and -(y + 1), and far above
+        # any x*(m - x^2) with x^2 < m, so they leave no root
+        for m in (1, 2, 3, 7, 100):
+            for y in (10**3 + 1, 10**6 + 3, 10**20 + 7):
+                n = y * (y * y - m)
+                assert cubic_has_integer_root(m, n) is True, (m, y)
+                assert cubic_has_integer_root(m, n + 1) is False, (m, y)
+                assert cubic_has_integer_root(m, n - 1) is False, (m, y)
+
+    def test_against_divisor_scan(self):
+        for m in range(1, 401):
+            for n in range(1, 3001):
+                assert cubic_has_integer_root(m, n) == cubic_root_by_divisors(m, n), (m, n)
 
     def test_against_full_scan(self):
         # oracle: any root r of X^3 - mX + n with n >= 1 satisfies |r| <= n,

@@ -4,16 +4,18 @@ The reference implementations below loop over b and trial-divide
 (D - b^2)/4 or (b^2 + |D|)/4, which costs O(|D|) per discriminant.  They
 share no code with the square-root table, so agreement on every
 fundamental discriminant with |D| <= 10^4 checks the enumeration by
-leading coefficient.  The property tests cover the table itself and the
-closure of rho-cycles on random discriminants.
+leading coefficient.  The property tests cover both oracles on random
+discriminants up to the benchmark's range, the table itself and the
+closure of rho-cycles.
 """
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccsieve.classnum import (
+    _reduced_form_count,
     _root_table,
     class_number_imaginary,
     class_number_real_narrow,
@@ -22,6 +24,8 @@ from ccsieve.classnum import (
 from reference import QuadraticForm, fundamental_range, reduced_indefinite_forms, rho
 
 REFERENCE_RANGE = 10_000
+# the largest |D| the benchmark's count and falsify-scholz stages reach
+BENCH_RANGE = 240_000
 
 
 def reference_reduced_triples(D: int) -> list[tuple[int, int, int]]:
@@ -93,6 +97,33 @@ class TestAgainstTrialDivision:
     def test_imaginary_counts(self):
         for D in fundamental_range(-REFERENCE_RANGE, -3):
             assert class_number_imaginary(D) == reference_class_number_imaginary(D), D
+
+
+class TestRandomDiscriminants:
+    """Both oracles against the trial-division references on random
+    fundamental D up to the benchmark's range, well past REFERENCE_RANGE:
+    most D with h+ >= 8, whose walk needs several cycles before it has
+    covered the counted forms, lie above 10^4.  The examples are the five
+    largest h+ in [2*10^5, 2.4*10^5]."""
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=5, max_value=BENCH_RANGE))
+    @example(220_665)  # h+ = 152
+    @example(224_161)  # h+ = 144
+    @example(224_044)  # h+ = 140
+    @example(234_745)  # h+ = 136
+    @example(212_137)  # h+ = 134
+    def test_real(self, D):
+        assume(is_fundamental_discriminant(D))
+        forms = sorted(QuadraticForm(*t) for t in reference_reduced_triples(D))
+        assert 2 * _reduced_form_count(D, math.isqrt(D)) == len(forms)
+        assert class_number_real_narrow(D) == _rho_cycle_count(forms, D)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=-BENCH_RANGE, max_value=-3))
+    def test_imaginary(self, D):
+        assume(is_fundamental_discriminant(D))
+        assert class_number_imaginary(D) == reference_class_number_imaginary(D)
 
 
 class TestSquareRootTable:

@@ -1,11 +1,11 @@
 """The row sieve of the Honda sweep against the per-pair loop it replaced.
 
-The reference below trial-divides 4m^3 - 27n^2 for every pair of the box
-with `squarefree_decompose` and tests rootlessness with the divisor scan
-`cubic_has_integer_root`.  It shares no code with the sieve's residue
-classes, square-root tables or excluded-root sets, so equal dictionaries
-check the whole row sieve, including the lex-least tie-break on split m
-ranges.
+The reference below splits 4m^3 - 27n^2 for every pair of the box with
+`squarefree_decompose` and tests rootlessness with the divisor scan
+`reference.cubic_root_by_divisors`.  It shares no code with the sieve's
+residue classes, square-root tables or excluded-root sets, so equal
+dictionaries check the whole row sieve, including the lex-least tie-break
+on split m ranges.
 """
 
 import math
@@ -22,7 +22,8 @@ from ccsieve.honda import (
     _sweep_m_range,
     derived_m_max,
 )
-from ccsieve.intmath import cubic_has_integer_root, squarefree_decompose
+from ccsieve.intmath import squarefree_decompose
+from reference import cubic_root_by_divisors
 
 
 def reference_sweep_m_range(
@@ -45,7 +46,7 @@ def reference_sweep_m_range(
             d = dec.squarefree_part
             if d < 2 or d > X:
                 continue
-            if not shortcut_only and cubic_has_integer_root(m, n):
+            if not shortcut_only and cubic_root_by_divisors(m, n):
                 continue
             key = (m, n, dec.square_part)
             prev = found.get(d)
@@ -83,5 +84,5 @@ def test_empty_range():
 @given(st.integers(min_value=2, max_value=300))
 def test_excluded_root_set_matches_divisor_scan(m):
     n_hi = math.isqrt((4 * m**3 - 1) // 27)
-    expected = {n for n in range(1, n_hi + 1) if cubic_has_integer_root(m, n)}
+    expected = {n for n in range(1, n_hi + 1) if cubic_root_by_divisors(m, n)}
     assert _cubic_root_ns(m, n_hi) == expected

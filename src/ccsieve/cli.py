@@ -165,10 +165,10 @@ def _validate_config(cfg: RunConfig, command: str) -> None:
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     """Sweep the witness box up to x_max and write witnesses.csv."""
-    items = enumerate_discriminants(cfg.x_max, cfg.enum_config())
+    rows = enumerate_discriminants(cfg.x_max, cfg.enum_config())
     path = cfg.out / "witnesses.csv"
-    write_witnesses_csv(items, path)
-    print(f"witnesses: {len(items)}")
+    write_witnesses_csv(rows, path)
+    print(f"witnesses: {len(rows)}")
     print(f"wrote: {path}")
     return EXIT_OK
 
@@ -189,7 +189,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         failed = 1
     for d, m, n, u in rows:
         try:
-            validate_witness(n=n, u=u, m=m, d=d)
+            validate_witness(d, m, n, u)
             if d <= previous_d:
                 raise ValueError(f"d does not exceed the previous row's d = {previous_d}")
             if d <= cfg.truth_x_max and not three_divides_real_class_number(d):
@@ -207,16 +207,16 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_count(cfg: RunConfig) -> int:
     """Write both count series, check domination, print the slope fits
-    over the checkpoint range and over the pinned window.  With no
-    checkpoint <= truth_x_max there is no truth series, and an n_truth.csv
-    left by an earlier run is removed."""
+    over the checkpoint range and over the pinned window.  A failed fit
+    writes nothing.  With no checkpoint <= truth_x_max there is no truth
+    series, and an n_truth.csv left by an earlier run is removed."""
     honda_series = honda_count_series(cfg.checkpoints, cfg.enum_config())
-    write_series_csv(honda_series, cfg.out / "n_honda.csv")
     try:
         report = fit_slope(honda_series, (cfg.checkpoints[0], cfg.checkpoints[-1]))
     except ValueError as exc:
         print(f"slope fit failed: {exc}")
         return EXIT_CONFIG
+    write_series_csv(honda_series, cfg.out / "n_honda.csv")
     truth_checkpoints = [x for x in cfg.checkpoints if x <= cfg.truth_x_max]
     truth_series = None
     if not truth_checkpoints:

@@ -79,7 +79,7 @@ def honda_count_series(
     """Sieve count series: qualifying d per checkpoint from one enumeration
     at the largest checkpoint."""
     check_checkpoints(checkpoints)
-    ds = [w.d for w in enumerate_discriminants(checkpoints[-1], config)]
+    ds = [row[0] for row in enumerate_discriminants(checkpoints[-1], config)]
     return CountSeries("N_honda", tuple((x, bisect_right(ds, x)) for x in checkpoints))
 
 

@@ -1,10 +1,11 @@
 """Witnesses of Honda's class-number criterion and their enumeration.
 
-A witness (n, u, m, d) certifies that 3 divides the class number of the
-real quadratic field Q(sqrt(d)): it satisfies 27*n^2 + d*u^2 = 4*m^3
-exactly, with gcd(m, 3n) = 1, X^3 - m*X + n free of integer roots, and d
-squarefree with d >= 2.  Enumeration sweeps an (m, n) box and lets the
-squarefree decomposition t = 4*m^3 - 27*n^2 = d*u^2 discover u and d.
+A witness (d, m, n, u), the same tuple as its row in witnesses.csv,
+certifies that 3 divides the class number of the real quadratic field
+Q(sqrt(d)): it satisfies 27*n^2 + d*u^2 = 4*m^3 exactly, with
+gcd(m, 3n) = 1, X^3 - m*X + n free of integer roots, and d squarefree
+with d >= 2.  Enumeration sweeps an (m, n) box and lets the squarefree
+decomposition t = 4*m^3 - 27*n^2 = d*u^2 discover u and d.
 
 The sweep sieves one row (fixed m, every n with 27*n^2 < 4*m^3) at a time.
 Rows with 3 | m are skipped, since gcd(m, 3n) = 3 there.  For each prime
@@ -37,22 +38,12 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, compress
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .intmath import cubic_has_integer_root, icbrt, is_squarefree, primes_upto
 
 class ConfigurationError(ValueError):
     """A run configuration that must be rejected before any sweep starts."""
-
-
-class HondaWitness(NamedTuple):
-    """A validated criterion witness: 27*n^2 + d*u^2 = 4*m^3 with the
-    gcd, cubic-root and squarefree side conditions all holding."""
-
-    n: int
-    u: int
-    m: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -73,14 +64,14 @@ class EnumConfig:
     shortcut_only: bool = False
 
 
-def validate_witness(n: int, u: int, m: int, d: int) -> None:
+def validate_witness(d: int, m: int, n: int, u: int) -> None:
     """Check the witness conditions; raise ValueError naming the first
     that fails.
 
     Order: all fields positive, exact identity, gcd(m, 3n) = 1, no
     integer cubic root, then d squarefree and >= 2.
     """
-    if min(n, u, m, d) < 1:
+    if min(d, m, n, u) < 1:
         raise ValueError("witness components must be positive")
     lhs = 27 * n * n + d * u * u
     rhs = 4 * m * m * m
@@ -206,13 +197,14 @@ def _sieve_row(
 
 def _sweep_m_range(
     X: int, m_lo: int, m_hi: int, shortcut_only: bool
-) -> dict[int, tuple[int, int, int]]:
-    """Sweep m in [m_lo, m_hi], keeping the lex-least (m, n, u) per d <= X.
+) -> dict[int, tuple[int, int, int, int]]:
+    """Sweep m in [m_lo, m_hi], keeping per d <= X the witness (d, m, n, u)
+    with the lex-least (m, n, u).
 
     Rows are visited in ascending m and each row in ascending n, so the
     first pair to yield a d carries its lex-least witness in the range.
     """
-    found: dict[int, tuple[int, int, int]] = {}
+    found: dict[int, tuple[int, int, int, int]] = {}
     if m_hi < max(2, m_lo):
         return found
     primes = primes_upto(icbrt(4 * m_hi * m_hi * m_hi))
@@ -235,7 +227,7 @@ def _sweep_m_range(
             else:
                 d *= c
             if 2 <= d <= X and d not in found:
-                found[d] = (m, n, u)
+                found[d] = (d, m, n, u)
     return found
 
 
@@ -281,9 +273,11 @@ def parallel_map(
         return list(pool.map(fn, *zip(*chunks)))
 
 
-def enumerate_discriminants(X: int, config: EnumConfig = EnumConfig()) -> list[HondaWitness]:
-    """The canonical witness of every qualifying squarefree d in [2, X]
-    discoverable in the (m, n) box, sorted by d.
+def enumerate_discriminants(
+    X: int, config: EnumConfig = EnumConfig()
+) -> list[tuple[int, int, int, int]]:
+    """The canonical witness (d, m, n, u) of every qualifying squarefree d
+    in [2, X] discoverable in the (m, n) box, sorted by d.
 
     The canonical witness is the lexicographically least (m, n, u) found
     for d; the result is identical no matter how the m range is split
@@ -293,10 +287,10 @@ def enumerate_discriminants(X: int, config: EnumConfig = EnumConfig()) -> list[H
     sweep = partial(_sweep_m_range, X, shortcut_only=config.shortcut_only)
     # The chunks ascend in m, so the first chunk holding d has its lex-least
     # witness: merge the last chunk first and let earlier ones overwrite.
-    best: dict[int, tuple[int, int, int]] = {}
+    best: dict[int, tuple[int, int, int, int]] = {}
     for part in reversed(parallel_map(sweep, 2, m_hi, config.workers, _row_length)):
         best.update(part)
-    return [HondaWitness(n, u, m, d) for d, (m, n, u) in sorted(best.items())]
+    return sorted(best.values())  # d is unique, so this is d order
 
 
 def write_csv(path, header: str, rows: Iterable[tuple], comment: str | None = None) -> None:
@@ -345,9 +339,9 @@ def read_csv(path, header: str) -> list[tuple[int, ...]]:
     return rows
 
 
-def write_witnesses_csv(items: Iterable[HondaWitness], path) -> None:
-    """Witness export: header `d,m,n,u`, ascending d, LF-terminated."""
-    write_csv(path, "d,m,n,u", ((w.d, w.m, w.n, w.u) for w in items))
+def write_witnesses_csv(rows: Iterable[tuple[int, int, int, int]], path) -> None:
+    """Witness export: header `d,m,n,u`, one line per (d, m, n, u) row."""
+    write_csv(path, "d,m,n,u", rows)
 
 
 def read_witnesses_csv(path) -> list[tuple[int, int, int, int]]:

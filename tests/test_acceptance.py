@@ -36,7 +36,7 @@ from ccsieve.counting import (
     honda_count_series,
     truth_count_series,
 )
-from ccsieve.honda import HondaWitness, enumerate_discriminants, validate_witness
+from ccsieve.honda import enumerate_discriminants
 from ccsieve.intmath import cubic_has_integer_root
 from reference import analytic_estimate_real, imaginary_count_widened, mod3_shortcut_no_root
 
@@ -110,10 +110,10 @@ def test_criterion_3_shortcut_soundness():
 
 
 def test_criterion_4_known_witnesses():
-    found = {w.d: w for w in enumerate_discriminants(300)}
+    found = {w[0]: w for w in enumerate_discriminants(300)}
     ok = (
-        found.get(229) == HondaWitness(n=1, u=1, m=4, d=229)
-        and found.get(79) == HondaWitness(n=2, u=4, m=7, d=79)
+        found.get(229) == (229, 4, 1, 1)
+        and found.get(79) == (79, 7, 2, 4)
         and class_number_real_narrow(229) % 3 == 0
         and three_divides_real_class_number(79)
     )

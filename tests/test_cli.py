@@ -279,6 +279,17 @@ class TestCount:
         )
         assert code == EXIT_CONFIG
 
+    def test_failed_fit_leaves_both_series_as_they_were(self, tmp_path, capsys):
+        # the fit runs before any write, so the two series files never disagree
+        argv = ("count", "--x-max", "10000", "--truth-x-max", "10000", "--out", str(tmp_path))
+        assert run(*argv, "--checkpoints", "100,1000,10000") == EXIT_OK
+        before = {name: (tmp_path / name).read_bytes() for name in ("n_honda.csv", "n_truth.csv")}
+        assert run(*argv, "--checkpoints", "100,1000") == EXIT_CONFIG
+        assert "slope fit failed" in capsys.readouterr().out
+        after = {name: (tmp_path / name).read_bytes() for name in ("n_honda.csv", "n_truth.csv")}
+        assert after == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["n_honda.csv", "n_truth.csv"]
+
     def test_checkpoints_above_x_max_rejected(self, tmp_path):
         code = run(
             "count",

@@ -44,7 +44,7 @@ class TestHondaSeries:
         items = enumerate_discriminants(10_000)
         series = honda_count_series((100, 1_000, 10_000))
         for x, count in series.checkpoints:
-            assert count == sum(1 for w in items if w.d <= x)
+            assert count == sum(1 for d, m, n, u in items if d <= x)
 
     def test_checkpoint_validation(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from ccsieve import honda
 from ccsieve.honda import (
     ConfigurationError,
     EnumConfig,
-    HondaWitness,
     _chunks,
     _row_length,
     derived_m_max,
@@ -35,82 +34,82 @@ from ccsieve.classnum import three_divides_real_class_number
 
 class TestValidateWitness:
     def test_valid_example(self):
-        assert validate_witness(n=1, u=1, m=4, d=229) is None
+        assert validate_witness(229, 4, 1, 1) is None
         assert 27 * 1 + 229 * 1 == 4 * 64
 
     def test_gcd_rejection(self):
         # identity holds: 27 + 81 = 108 = 4*27, but gcd(3, 3) = 3
         with pytest.raises(ValueError, match=r"^gcd: gcd\(3, 3\*1\) = 3$"):
-            validate_witness(n=1, u=1, m=3, d=81)
+            validate_witness(81, 3, 1, 1)
 
     def test_cubic_rejection(self):
         # 27*36 + 400 = 1372 = 4*343 and gcd(7, 18) = 1, but X^3-7X+6 has
         # the root 1, which is hit before the squarefree check of 400
         message = r"^cubic-root: X\^3 - 7\*X \+ 6 has an integer root$"
         with pytest.raises(ValueError, match=message):
-            validate_witness(n=6, u=1, m=7, d=400)
+            validate_witness(400, 7, 6, 1)
 
     def test_identity_rejection(self):
         message = r"^identity: 27\*1\^2 \+ 230\*1\^2 = 257 != 256 = 4\*4\^3$"
         with pytest.raises(ValueError, match=message):
-            validate_witness(n=1, u=1, m=4, d=230)
+            validate_witness(230, 4, 1, 1)
 
     def test_squarefree_rejection(self):
         # 27*16 + 940 = 1372 = 4*343, gcd(7, 12) = 1, X^3-7X+4 rootless
         # (divisors 1, 2, 4 give -2, -2, 40; negatives give 10, 10, -32),
         # but 940 = 2^2 * 235
         with pytest.raises(ValueError, match=r"^squarefree: d = 940 is not a squarefree integer >= 2$"):
-            validate_witness(n=4, u=1, m=7, d=940)
+            validate_witness(940, 7, 4, 1)
 
     def test_rejection_order_is_fixed(self):
-        # (n, u, m, d) = (6, 20, 7, 1): identity holds (972 + 400 = 1372)
+        # (d, m, n, u) = (1, 7, 6, 20): identity holds (972 + 400 = 1372)
         # and gcd(7, 18) = 1, but the cubic root at 1 is reported before
         # the d >= 2 violation
         with pytest.raises(ValueError, match=r"^cubic-root: "):
-            validate_witness(n=6, u=20, m=7, d=1)
+            validate_witness(1, 7, 6, 20)
         # gcd is reported before the cubic root when both fail:
-        # (n, u, m, d) = (1, 9, 3, 1) has identity 27 + 81 = 108 = 4*27
+        # (d, m, n, u) = (1, 3, 1, 9) has identity 27 + 81 = 108 = 4*27
         with pytest.raises(ValueError, match=r"^gcd: "):
-            validate_witness(n=1, u=9, m=3, d=1)
+            validate_witness(1, 3, 1, 9)
 
     def test_rejects_nonpositive_inputs(self):
         # positivity is checked first, before the identity
         with pytest.raises(ValueError, match=r"^witness components must be positive$"):
-            validate_witness(n=0, u=1, m=4, d=229)
+            validate_witness(229, 4, 0, 1)
 
 
 class TestEnumerate:
     def test_contains_known_witnesses(self):
-        found = {w.d: w for w in enumerate_discriminants(229)}
-        assert found[229] == HondaWitness(n=1, u=1, m=4, d=229)
-        found79 = {w.d: w for w in enumerate_discriminants(79)}
-        assert found79[79] == HondaWitness(n=2, u=4, m=7, d=79)
+        found = {w[0]: w for w in enumerate_discriminants(229)}
+        assert found[229] == (229, 4, 1, 1)
+        found79 = {w[0]: w for w in enumerate_discriminants(79)}
+        assert found79[79] == (79, 7, 2, 4)
 
     def test_smallest_bound_is_empty(self):
         assert enumerate_discriminants(2) == []
 
     def test_x300(self):
-        ds = [w.d for w in enumerate_discriminants(300)]
+        ds = [d for d, m, n, u in enumerate_discriminants(300)]
         assert 229 in ds and 79 in ds
         assert ds == sorted(ds)
 
     def test_round_trip_validation(self):
         for w in enumerate_discriminants(10_000):
-            assert validate_witness(n=w.n, u=w.u, m=w.m, d=w.d) is None
+            assert validate_witness(*w) is None
 
     def test_identity_conservation(self):
-        for w in enumerate_discriminants(5_000):
-            assert 27 * w.n**2 + w.d * w.u**2 - 4 * w.m**3 == 0
+        for d, m, n, u in enumerate_discriminants(5_000):
+            assert 27 * n**2 + d * u**2 - 4 * m**3 == 0
 
     def test_emitted_d_squarefree_and_bounded(self):
         for x in (300, 2_000):
-            for w in enumerate_discriminants(x):
-                assert 2 <= w.d <= x
-                assert is_squarefree(w.d)
+            for d, m, n, u in enumerate_discriminants(x):
+                assert 2 <= d <= x
+                assert is_squarefree(d)
 
     def test_monotone_in_x(self):
-        small = {w.d: w for w in enumerate_discriminants(1_000)}
-        large = {w.d: w for w in enumerate_discriminants(10_000)}
+        small = {w[0]: w for w in enumerate_discriminants(1_000)}
+        large = {w[0]: w for w in enumerate_discriminants(10_000)}
         assert set(small) <= set(large)
         for d, w in small.items():
             assert large[d] == w
@@ -121,18 +120,18 @@ class TestEnumerate:
             assert enumerate_discriminants(20_000, EnumConfig(workers=k)) == base
 
     def test_shortcut_subfamily(self):
-        full = {w.d for w in enumerate_discriminants(20_000)}
+        full = {w[0] for w in enumerate_discriminants(20_000)}
         sub = enumerate_discriminants(20_000, EnumConfig(shortcut_only=True))
         assert sub  # the sub-family is far from empty
-        for w in sub:
-            assert w.d in full
-            assert w.m % 3 == 1 and w.n % 3 != 0
+        for d, m, n, u in sub:
+            assert d in full
+            assert m % 3 == 1 and n % 3 != 0
 
     def test_criterion_soundness_small(self):
         # every emitted d must satisfy the oracle; the acceptance suite
         # repeats this at the full desk scale
         for w in enumerate_discriminants(2_000):
-            assert three_divides_real_class_number(w.d), w
+            assert three_divides_real_class_number(w[0]), w
 
     def test_x_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -155,17 +154,22 @@ class TestLargeCounts:
     """N_honda at the default box beyond the reference series."""
 
     def test_ten_to_the_seven(self, tmp_path):
-        items = enumerate_discriminants(10**7, EnumConfig(x_cap=10**7))
-        assert len(items) == 56_407
+        rows = enumerate_discriminants(10**7, EnumConfig(x_cap=10**7))
+        assert len(rows) == 56_407
         path = tmp_path / "witnesses.csv"
-        write_witnesses_csv(items, path)
+        write_witnesses_csv(rows, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "ae950a446e8e93911962a9d140d620b10aa8cf1a6eaddd36a64bcf411bd37d6b"
         )
 
-    def test_ten_to_the_eight(self):
-        items = enumerate_discriminants(10**8, EnumConfig(x_cap=10**8))
-        assert len(items) == 394_460
+    def test_ten_to_the_eight(self, tmp_path):
+        rows = enumerate_discriminants(10**8, EnumConfig(x_cap=10**8))
+        assert len(rows) == 394_460
+        path = tmp_path / "witnesses.csv"
+        write_witnesses_csv(rows, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f5297c4ca74852a8a063e57f7d1b5cb0fe390329b76ec3b9305aad20380e149f"
+        )
 
 
 class TestPartition:
@@ -299,11 +303,11 @@ class TestMBound:
                     if rem or not 2 <= d <= X:
                         continue
                     try:
-                        validate_witness(n=n, u=u, m=m, d=d)
+                        validate_witness(d, m, n, u)
                     except ValueError:
                         continue
                     box.setdefault(d, (m, n, u))  # ascending (m, n, u): the first is least
-        emitted = {w.d: (w.m, w.n, w.u) for w in enumerate_discriminants(X)}
+        emitted = {d: (m, n, u) for d, m, n, u in enumerate_discriminants(X)}
         assert len(box) == box_size
         assert [d for d in box if d not in emitted] == []
         assert [d for d in box if emitted[d] > box[d]] == []
@@ -319,10 +323,9 @@ class TestWitnessCsv:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "witnesses.csv"
-        items = enumerate_discriminants(2_000)
-        write_witnesses_csv(items, path)
-        rows = read_witnesses_csv(path)
-        assert rows == [(w.d, w.m, w.n, w.u) for w in items]
+        rows = enumerate_discriminants(2_000)
+        write_witnesses_csv(rows, path)
+        assert read_witnesses_csv(path) == rows
 
     def test_reader_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"

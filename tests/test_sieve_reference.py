@@ -55,12 +55,17 @@ def reference_sweep_m_range(
     return found
 
 
+def as_rows(found: dict[int, tuple[int, int, int]]) -> dict[int, tuple[int, int, int, int]]:
+    """The sweep's shape: each d maps to its witness row (d, m, n, u)."""
+    return {d: (d, *key) for d, key in found.items()}
+
+
 @pytest.mark.parametrize("shortcut_only", [False, True])
 @pytest.mark.parametrize("X", [10**3, 10**5, 10**6])
 def test_full_box_matches_reference(X, shortcut_only):
     m_hi = derived_m_max(X, EnumConfig())
     got = _sweep_m_range(X, 2, m_hi, shortcut_only)
-    assert got == reference_sweep_m_range(X, 2, m_hi, shortcut_only)
+    assert got == as_rows(reference_sweep_m_range(X, 2, m_hi, shortcut_only))
     assert got  # both families are nonempty at these bounds
 
 
@@ -71,8 +76,8 @@ def test_split_ranges_match_reference(shortcut_only):
     ranges = _chunks(2, m_hi, 3, _row_length)
     ranges += [(17, 40), (41, 41), (99, 99), (100, m_hi), (m_hi, m_hi)]
     for m_lo, hi in ranges:
-        assert _sweep_m_range(X, m_lo, hi, shortcut_only) == reference_sweep_m_range(
-            X, m_lo, hi, shortcut_only
+        assert _sweep_m_range(X, m_lo, hi, shortcut_only) == as_rows(
+            reference_sweep_m_range(X, m_lo, hi, shortcut_only)
         ), (m_lo, hi)
 
 

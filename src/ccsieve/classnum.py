@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterator
 
-from .intmath import fundamental_discriminant, is_squarefree
+from .intmath import is_squarefree
 
 # Per discriminant both oracles make about sqrt(|D|) lookups in the
 # square-root table (sqrt(|D|/3) on the imaginary side) and count most root
@@ -45,6 +45,13 @@ def is_fundamental_discriminant(D: int) -> bool:
         q = D // 4
         return q % 4 in (2, 3) and is_squarefree(abs(q))
     return False
+
+
+def field_discriminant(d: int) -> int:
+    """Discriminant of Q(sqrt(d)), of either sign: d if d == 1 (mod 4), else
+    4d.  It checks nothing; for d of 0, 1 or not squarefree the result is
+    not a fundamental discriminant, so the oracles reject it."""
+    return d if d % 4 == 1 else 4 * d
 
 
 def _require_fundamental(D: int, sign: int) -> None:
@@ -217,8 +224,8 @@ def class_number_real_narrow(D: int) -> int:
 def three_divides_real_class_number(d: int) -> bool:
     """Whether 3 divides the class number of Q(sqrt(d)), d squarefree >= 2.
 
-    Goes through the narrow class number of the fundamental discriminant;
-    h+ is h or 2h, so the odd parts coincide and 3|h iff 3|h+.
+    Goes through the narrow class number of the field's discriminant; h+ is
+    h or 2h, so the odd parts coincide and 3|h iff 3|h+.  Any other d
+    raises ValueError.
     """
-    D = fundamental_discriminant(d)
-    return class_number_real_narrow(D) % 3 == 0
+    return class_number_real_narrow(field_discriminant(d)) % 3 == 0

@@ -161,6 +161,10 @@ def _validate_config(cfg: RunConfig, command: str) -> None:
     existing = next((p for p in (cfg.out, *cfg.out.parents) if p.exists()), cfg.out)
     if not existing.is_dir():
         raise ConfigurationError(f"out={cfg.out}: {existing} is not a directory")
+    # a writer would meet a directory only after the whole sweep
+    for name in ("witnesses.csv", "n_honda.csv", "n_truth.csv", "counterexamples.csv"):
+        if (cfg.out / name).is_dir():
+            raise ConfigurationError(f"out={cfg.out}: {cfg.out / name} is a directory")
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:

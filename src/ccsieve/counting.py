@@ -16,12 +16,14 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .classnum import (
     PRACTICAL_DISCRIMINANT_CAP,
     class_number_imaginary,
     class_number_real_narrow,
+    field_discriminant,
+    three_divides_real_class_number,
 )
 from .honda import ConfigurationError, EnumConfig, enumerate_discriminants, parallel_map, write_csv
 from .intmath import squarefree_decompose
@@ -54,15 +56,6 @@ class SlopeReport:
     window: tuple[int, int]
 
 
-class ScholzCounterexample(NamedTuple):
-    """Squarefree d with 3 | h(Q(sqrt(-3d))) but 3 not dividing h(Q(sqrt(d)));
-    h_real is the narrow class number, h_imag the exact imaginary one."""
-
-    d: int
-    h_real: int
-    h_imag: int
-
-
 def check_checkpoints(checkpoints: Sequence[int]) -> None:
     """Reject an empty, non-increasing or below-2 checkpoint list."""
     if not checkpoints:
@@ -83,20 +76,11 @@ def honda_count_series(
     return CountSeries("N_honda", tuple((x, bisect_right(ds, x)) for x in checkpoints))
 
 
-def _discriminant(d: int) -> int:
-    """Discriminant of Q(sqrt(d)) for a d already known to be squarefree;
-    the oracles' own domain checks still guard the result."""
-    return d if d % 4 == 1 else 4 * d
-
-
 def _truth_chunk(lo: int, hi: int) -> list[int]:
-    """Squarefree d in [lo, hi] whose real class number is divisible by 3
-    (through h+, whose odd part is that of h)."""
+    """Squarefree d in [lo, hi] whose real class number is divisible by 3."""
     hits = []
     for d in range(lo, hi + 1):
-        if squarefree_decompose(d).square_part != 1:
-            continue
-        if class_number_real_narrow(_discriminant(d)) % 3 == 0:
+        if squarefree_decompose(d)[0] == 1 and three_divides_real_class_number(d):
             hits.append(d)
     return hits
 
@@ -137,23 +121,24 @@ def _imaginary_kernel(d: int) -> int:
     return -(d // 3) if d % 3 == 0 else -3 * d
 
 
-def _scholz_chunk(lo: int, hi: int) -> list[ScholzCounterexample]:
+def _scholz_chunk(lo: int, hi: int) -> list[tuple[int, int, int]]:
     hits = []
     for d in range(lo, hi + 1):
-        if squarefree_decompose(d).square_part != 1:
+        if squarefree_decompose(d)[0] != 1:
             continue
-        h_imag = class_number_imaginary(_discriminant(_imaginary_kernel(d)))
+        h_imag = class_number_imaginary(field_discriminant(_imaginary_kernel(d)))
         if h_imag % 3:
             continue
-        h_real = class_number_real_narrow(_discriminant(d))
+        h_real = class_number_real_narrow(field_discriminant(d))
         if h_real % 3:
-            hits.append(ScholzCounterexample(d, h_real, h_imag))
+            hits.append((d, h_real, h_imag))
     return hits
 
 
-def scholz_counterexample_search(bound: int, workers: int = 1) -> list[ScholzCounterexample]:
-    """All squarefree d <= bound with 3 | h(Q(sqrt(-3d))) and 3 not
-    dividing h(Q(sqrt(d))), ascending.
+def scholz_counterexample_search(bound: int, workers: int = 1) -> list[tuple[int, int, int]]:
+    """The rows (d, h_real, h_imag) of all squarefree d <= bound with
+    3 | h(Q(sqrt(-3d))) and 3 not dividing h(Q(sqrt(d))), ascending in d;
+    h_real is the narrow class number, h_imag the exact imaginary one.
 
     Each hit is a counterexample to the implication "3 | h(-3k) forces
     3 | h(k)"; a nonempty result shows that direction of reflection fails.
@@ -171,6 +156,6 @@ def write_series_csv(series: CountSeries, path) -> None:
     write_csv(path, "X,count", series.checkpoints, comment=series.label)
 
 
-def write_counterexamples_csv(items: Iterable[ScholzCounterexample], path) -> None:
+def write_counterexamples_csv(items: Iterable[tuple[int, int, int]], path) -> None:
     """Counterexample export: `d,h_real_narrow,h_imag` rows, ascending d."""
     write_csv(path, "d,h_real_narrow,h_imag", items)

@@ -7,7 +7,6 @@ into results, and every function is safe to call from concurrent workers.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 
 def icbrt(t: int) -> int:
@@ -31,13 +30,6 @@ def icbrt(t: int) -> int:
     while (r + 1) ** 3 <= t:
         r += 1
     return r
-
-
-class SquarefreeDecomposition(NamedTuple):
-    """t written as square_part**2 * squarefree_part, uniquely."""
-
-    square_part: int
-    squarefree_part: int
 
 
 def primes_upto(n: int) -> list[int]:
@@ -82,8 +74,8 @@ def _split_large(c: int) -> tuple[int, int]:
     return u, d * c
 
 
-def squarefree_decompose(t: int) -> SquarefreeDecomposition:
-    """Split t >= 1 as t = u^2 * d with d squarefree.
+def squarefree_decompose(t: int) -> tuple[int, int]:
+    """Split t >= 1 as t = u^2 * d with d squarefree; returns (u, d).
 
     The small primes come out by gcds, not trial division: with g_1 the
     product of the small primes dividing t and g_{k+1} = gcd(t / (g_1 ...
@@ -104,7 +96,7 @@ def squarefree_decompose(t: int) -> SquarefreeDecomposition:
         c //= g
         u *= h
     cu, cd = _split_large(c)
-    return SquarefreeDecomposition(u * cu, d * cd)
+    return u * cu, d * cd
 
 
 def is_squarefree(t: int) -> bool:
@@ -142,16 +134,3 @@ def cubic_has_integer_root(m: int, n: int) -> bool:
     while y * (y * y - m) < n:
         y += 1
     return y * (y * y - m) == n
-
-
-def fundamental_discriminant(d: int) -> int:
-    """Discriminant of Q(sqrt(d)) for squarefree d, positive or negative.
-
-    Returns d when d == 1 (mod 4), else 4*d; the result is always
-    0 or 1 mod 4.
-    """
-    if d in (0, 1):
-        raise ValueError("d must be a squarefree integer other than 0 and 1")
-    if not is_squarefree(abs(d)):
-        raise ValueError(f"d={d} is not squarefree")
-    return d if d % 4 == 1 else 4 * d

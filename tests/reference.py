@@ -9,7 +9,7 @@ with a continued-fraction regulator) and the widened-window recount are
 independent routes to the class numbers, and mod3_shortcut_no_root is
 the sufficient condition for rootlessness behind --shortcut-only;
 cubic_root_by_divisors is the divisor scan that cubic_has_integer_root
-replaced.
+replaced, and squarefree_sieve marks the squarefree integers by sieving.
 Import with `from reference import ...`: pytest puts tests/ on sys.path.
 """
 
@@ -25,6 +25,17 @@ from ccsieve.classnum import (
     _root_table,
     is_fundamental_discriminant,
 )
+
+
+def squarefree_sieve(n: int) -> bytearray:
+    """Oracle: squarefree flags for 0..n by marking multiples of k^2."""
+    flags = bytearray([1]) * (n + 1)
+    k = 2
+    while k * k <= n:
+        step = k * k
+        flags[step::step] = bytearray(len(range(step, n + 1, step)))
+        k += 1
+    return flags
 
 
 def fundamental_range(lo: int, hi: int) -> list[int]:

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from ccsieve.classnum import (
     class_number_imaginary,
     class_number_real_narrow,
+    field_discriminant,
     is_fundamental_discriminant,
     three_divides_real_class_number,
 )
-from ccsieve.intmath import fundamental_discriminant, is_squarefree
+from ccsieve.intmath import is_squarefree
 from reference import (
     AnalyticEstimate,
     QuadraticForm,
@@ -31,6 +32,7 @@ from reference import (
     kronecker,
     reduced_indefinite_forms,
     rho,
+    squarefree_sieve,
 )
 
 
@@ -95,6 +97,31 @@ class TestKronecker:
         for a in range(-20, 21):
             for n in range(1, 20):
                 assert kronecker(a, -n) == (-1 if a < 0 else 1) * kronecker(a, n)
+
+
+class TestFieldDiscriminant:
+    def test_examples(self):
+        assert field_discriminant(5) == 5
+        assert field_discriminant(79) == 316
+        assert field_discriminant(-23) == -23
+
+    def test_negative_cases(self):
+        assert field_discriminant(-1) == -4
+        assert field_discriminant(-5) == -20
+
+    def test_oracles_reject_bad_d(self):
+        # the map checks nothing; the oracle of d's sign rejects what it makes
+        for bad in (0, 1, 12, -12, 75):
+            oracle = class_number_imaginary if bad < 0 else class_number_real_narrow
+            with pytest.raises(ValueError):
+                oracle(field_discriminant(bad))
+
+    def test_fundamental_exactly_for_squarefree_d(self):
+        n = 100_000
+        flags = squarefree_sieve(n)
+        for d in range(-n, n + 1):
+            expected = d not in (0, 1) and bool(flags[abs(d)])
+            assert is_fundamental_discriminant(field_discriminant(d)) == expected, d
 
 
 class TestFundamentalPredicate:
@@ -296,10 +323,10 @@ class TestScholzReflection:
         for d in range(2, 5_001):
             if not is_squarefree(d):
                 continue
-            if class_number_real_narrow(fundamental_discriminant(d)) % 3:
+            if class_number_real_narrow(field_discriminant(d)) % 3:
                 continue
             kernel = -(d // 3) if d % 3 == 0 else -3 * d  # squarefree part of -3d
-            h_imag = class_number_imaginary(fundamental_discriminant(kernel))
+            h_imag = class_number_imaginary(field_discriminant(kernel))
             if h_imag % 3:
                 violations.append((d, h_imag))
         assert violations == []

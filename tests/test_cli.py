@@ -392,6 +392,35 @@ class TestConfigResolution:
         assert captured.out == ""  # rejected before any stage ran
         assert f"configuration error: out={out}: {afile} is not a directory" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, artifact",
+        [
+            (("enumerate", "--x-max", "1000"), "witnesses.csv"),
+            (("verify",), "witnesses.csv"),
+            (
+                ("count", "--checkpoints", "100,1000,10000", "--x-max", "10000", "--truth-x-max", "50"),
+                "n_truth.csv",
+            ),
+            (("falsify-scholz",), "counterexamples.csv"),
+        ],
+    )
+    def test_artifact_path_is_a_directory(self, tmp_path, capsys, argv, artifact):
+        # rejected before the sweep, so no artifact is replaced or removed
+        names = ("witnesses.csv", "n_honda.csv", "n_truth.csv", "counterexamples.csv")
+        for name in names:
+            (tmp_path / name).write_text(f"old {name}\n", encoding="utf-8")
+        (tmp_path / artifact).unlink()
+        (tmp_path / artifact).mkdir()
+        assert run(*argv, "--out", str(tmp_path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        path = tmp_path / artifact
+        assert f"configuration error: out={tmp_path}: {path} is a directory" in captured.err
+        assert path.is_dir() and not any(path.iterdir())
+        for name in names:
+            if name != artifact:
+                assert (tmp_path / name).read_text(encoding="utf-8") == f"old {name}\n"
+
     def test_missing_config_file(self, tmp_path):
         assert run("enumerate", "--config", str(tmp_path / "nope.cfg")) == EXIT_CONFIG
 

@@ -7,11 +7,11 @@ import pytest
 from ccsieve.classnum import (
     class_number_imaginary,
     class_number_real_narrow,
+    field_discriminant,
     three_divides_real_class_number,
 )
 from ccsieve.counting import (
     CountSeries,
-    ScholzCounterexample,
     fit_slope,
     honda_count_series,
     scholz_counterexample_search,
@@ -20,7 +20,7 @@ from ccsieve.counting import (
     write_series_csv,
 )
 from ccsieve.honda import ConfigurationError, EnumConfig, enumerate_discriminants
-from ccsieve.intmath import fundamental_discriminant, is_squarefree
+from ccsieve.intmath import is_squarefree
 
 
 class TestHondaSeries:
@@ -129,27 +129,28 @@ class TestScholzSearch:
     def test_bound_100(self):
         hits = scholz_counterexample_search(100)
         assert hits
-        by_d = {ce.d: ce for ce in hits}
+        by_d = {d: (h_real, h_imag) for d, h_real, h_imag in hits}
         assert 69 in by_d
         # d = 69: -3*69 = -207 = -9*23 reduces to Q(sqrt(-23)) with h = 3,
         # while h+(69) = 2
-        assert by_d[69].h_imag == class_number_imaginary(-23) == 3
-        assert by_d[69].h_real == class_number_real_narrow(69) == 2
+        h_real, h_imag = by_d[69]
+        assert h_imag == class_number_imaginary(-23) == 3
+        assert h_real == class_number_real_narrow(69) == 2
 
     def test_bound_4_empty(self):
         assert scholz_counterexample_search(4) == []
 
     def test_emissions_revalidate(self):
-        for ce in scholz_counterexample_search(100):
-            assert is_squarefree(ce.d)
-            assert ce.h_imag % 3 == 0 and ce.h_real % 3 != 0
-            kernel = -(ce.d // 3) if ce.d % 3 == 0 else -3 * ce.d
-            assert ce.h_imag == class_number_imaginary(fundamental_discriminant(kernel))
-            assert ce.h_real == class_number_real_narrow(fundamental_discriminant(ce.d))
+        for d, h_real, h_imag in scholz_counterexample_search(100):
+            assert is_squarefree(d)
+            assert h_imag % 3 == 0 and h_real % 3 != 0
+            kernel = -(d // 3) if d % 3 == 0 else -3 * d
+            assert h_imag == class_number_imaginary(field_discriminant(kernel))
+            assert h_real == class_number_real_narrow(field_discriminant(d))
 
     def test_ascending_and_deterministic(self):
         hits = scholz_counterexample_search(150)
-        ds = [ce.d for ce in hits]
+        ds = [d for d, _, _ in hits]
         assert ds == sorted(ds)
         assert hits == scholz_counterexample_search(150)
 
@@ -158,8 +159,8 @@ class TestScholzSearch:
 
     def test_multiple_of_three_kernel(self):
         # d = 93 = 3*31: kernel is -31, h(-31) = 3
-        hits = {ce.d: ce for ce in scholz_counterexample_search(100)}
-        assert hits[93].h_imag == class_number_imaginary(-31) == 3
+        h_imag = {d: h for d, _, h in scholz_counterexample_search(100)}
+        assert h_imag[93] == class_number_imaginary(-31) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,7 +177,7 @@ class TestSeriesCsv:
         assert path.read_text(encoding="utf-8") == "# N_demo\nX,count\n10,1\n100,4\n"
 
     def test_counterexample_format(self, tmp_path):
-        items = [ScholzCounterexample(d=69, h_real=2, h_imag=3)]
+        items = [(69, 2, 3)]
         path = tmp_path / "ce.csv"
         write_counterexamples_csv(items, path)
         assert path.read_text(encoding="utf-8") == "d,h_real_narrow,h_imag\n69,2,3\n"

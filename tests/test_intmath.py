@@ -1,9 +1,9 @@
 """Integer-kernel tests: frozen examples plus exhaustive property sweeps.
 
 Expected values marked with an oracle were computed by the independent
-routes coded in this file (incremental root scans, a p^2-marking sieve,
-full-range root scans) and the divisor scan of reference.py, not by the
-functions under test.
+routes coded in this file (incremental root scans, full-range root
+scans) and in reference.py (the k^2-marking sieve, the divisor scan), not
+by the functions under test.
 """
 
 import math
@@ -13,25 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccsieve.intmath import (
-    SquarefreeDecomposition,
     cubic_has_integer_root,
-    fundamental_discriminant,
     icbrt,
     is_squarefree,
     squarefree_decompose,
 )
-from reference import cubic_root_by_divisors, mod3_shortcut_no_root
-
-
-def _squarefree_sieve(n: int) -> bytearray:
-    """Oracle: squarefree flags for 0..n by marking multiples of k^2."""
-    flags = bytearray([1]) * (n + 1)
-    k = 2
-    while k * k <= n:
-        step = k * k
-        flags[step::step] = bytearray(len(range(step, n + 1, step)))
-        k += 1
-    return flags
+from reference import cubic_root_by_divisors, mod3_shortcut_no_root, squarefree_sieve
 
 
 _PRIMES = [p for p in range(2, 3000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
@@ -71,29 +58,28 @@ class TestSquarefreeDecompose:
     def test_examples(self):
         # 229 is prime: no divisor in 2..15 (checked below), so (1, 229)
         assert all(229 % p for p in range(2, 16))
-        assert squarefree_decompose(229) == SquarefreeDecomposition(1, 229)
+        assert squarefree_decompose(229) == (1, 229)
         # 1264 = 2^4 * 79 by trial factorization, so u = 4, d = 79
         assert 1264 == 2**4 * 79 and all(79 % p for p in range(2, 9))
-        assert squarefree_decompose(1264) == SquarefreeDecomposition(4, 79)
-        assert squarefree_decompose(1) == SquarefreeDecomposition(1, 1)
+        assert squarefree_decompose(1264) == (4, 79)
+        assert squarefree_decompose(1) == (1, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             squarefree_decompose(0)
 
     def test_exhaustive_to_1e6(self):
-        flags = _squarefree_sieve(1_000_000)
+        flags = squarefree_sieve(1_000_000)
         for t in range(1, 1_000_001):
-            dec = squarefree_decompose(t)
-            assert dec.square_part**2 * dec.squarefree_part == t
-            assert flags[dec.squarefree_part]
+            u, d = squarefree_decompose(t)
+            assert u**2 * d == t
+            assert flags[d]
 
     def test_large_values(self):
         # constructed inputs with known decomposition
-        assert squarefree_decompose(10**12) == SquarefreeDecomposition(10**6, 1)
+        assert squarefree_decompose(10**12) == (10**6, 1)
         big_prime = 999_999_999_989
-        dec = squarefree_decompose(4 * big_prime)
-        assert (dec.square_part, dec.squarefree_part) == (2, big_prime)
+        assert squarefree_decompose(4 * big_prime) == (2, big_prime)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -105,11 +91,10 @@ class TestSquarefreeDecompose:
         # t = u0^2 * d0 from distinct primes: u0 gets p^(e // 2), d0 gets p^(e % 2)
         u0 = math.prod(p ** (e // 2) for p, e in exponents.items())
         d0 = math.prod(p ** (e % 2) for p, e in exponents.items())
-        dec = squarefree_decompose(u0 * u0 * d0)
-        assert (dec.square_part, dec.squarefree_part) == (u0, d0)
+        assert squarefree_decompose(u0 * u0 * d0) == (u0, d0)
 
     def test_is_squarefree(self):
-        flags = _squarefree_sieve(1_000_000)
+        flags = squarefree_sieve(1_000_000)
         for t in range(1, 1_000_001):
             assert is_squarefree(t) == bool(flags[t])
 
@@ -129,7 +114,7 @@ class TestSquarefreeDecompose:
             997**3 * 1009**3: (997 * 1009, 997 * 1009),
         }
         for t, parts in cases.items():
-            assert tuple(squarefree_decompose(t)) == parts, t
+            assert squarefree_decompose(t) == parts, t
             assert is_squarefree(t) == (parts[0] == 1), t
 
     def test_cofactor_above_the_trial_division_bound(self):
@@ -138,7 +123,7 @@ class TestSquarefreeDecompose:
         big_prime = 10**9 + 7
         assert all(big_prime % p for p in range(2, math.isqrt(big_prime) + 1))
         t = 1013**2 * big_prime
-        assert squarefree_decompose(t) == SquarefreeDecomposition(1013, big_prime)
+        assert squarefree_decompose(t) == (1013, big_prime)
         assert not is_squarefree(t)
         assert is_squarefree(1013 * big_prime)
 
@@ -197,29 +182,3 @@ class TestMod3Shortcut:
                     assert not cubic_has_integer_root(m, n)
         # incompleteness: a rootless pair the shortcut misses
         assert not cubic_has_integer_root(5, 3) and not mod3_shortcut_no_root(5, 3)
-
-
-class TestFundamentalDiscriminant:
-    def test_examples(self):
-        assert fundamental_discriminant(5) == 5
-        assert fundamental_discriminant(79) == 316
-        assert fundamental_discriminant(-23) == -23
-
-    def test_negative_cases(self):
-        assert fundamental_discriminant(-1) == -4
-        assert fundamental_discriminant(-5) == -20
-
-    def test_rejects_bad_input(self):
-        for bad in (0, 1, 12, -12, 75):
-            with pytest.raises(ValueError):
-                fundamental_discriminant(bad)
-
-    def test_result_residue(self):
-        flags = _squarefree_sieve(500)
-        for d in range(2, 501):
-            if not flags[d]:
-                continue
-            for signed in (d, -d):
-                D = fundamental_discriminant(signed)
-                assert D % 4 in (0, 1)
-                assert D in (signed, 4 * signed)

@@ -42,13 +42,12 @@ def reference_sweep_m_range(
             t = t4 - 27 * n * n
             if t < 2:
                 continue
-            dec = squarefree_decompose(t)
-            d = dec.squarefree_part
+            u, d = squarefree_decompose(t)
             if d < 2 or d > X:
                 continue
             if not shortcut_only and cubic_root_by_divisors(m, n):
                 continue
-            key = (m, n, dec.square_part)
+            key = (m, n, u)
             prev = found.get(d)
             if prev is None or key < prev:
                 found[d] = key

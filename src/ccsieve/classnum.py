@@ -11,23 +11,22 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Iterator
 
 from .intmath import is_squarefree
 
-# Per discriminant both oracles make about sqrt(|D|) lookups in the
-# square-root table (sqrt(|D|/3) on the imaginary side) and count most root
-# classes by their size alone: the imaginary one reads the roots only for
-# sqrt(|D|)/2 < a <= sqrt(|D|/3), the real one takes one bisection per
-# a > sqrt(D)/2.  The real one then takes one double reduction step per
-# reduced form with a > 0, of which there are O(sqrt(D) log D) on average,
-# and stops once its cycles hold them all.  The shared table is grown
-# once to the largest |D| seen: about 6*D bytes for real D and 2*|D| bytes
-# for imaginary D, so 60 MB at this cap.  Past it the oracle stops being a
-# desk-scale tool; the callers in counting stay below it, and the table's
-# 16-bit entries could not go past a = 32767 (D about 10^9) at all.
+# Per discriminant both oracles count the root classes of a <= sqrt(|D|)/2
+# in the square-root table by their size alone, one lookup per a.  The
+# imaginary one then reads the roots of sqrt(|D|)/2 < a <= sqrt(|D|/3).
+# The real one reads no table past sqrt(D)/2: it takes one double reduction
+# step per reduced form with a > 0 in the cycles it walks, of which there
+# are O(sqrt(D) log D) on average, and stops once they hold every counted
+# form.  The shared table is grown once to the largest |D| seen: to
+# a = sqrt(D)/2, about 1.5*D bytes, for real D and to a = sqrt(|D|/3),
+# about 2*|D| bytes, for imaginary D, so 20 MB at this cap.  Past it the
+# oracle stops being a desk-scale tool; the callers in counting stay below
+# it, and the table's 16-bit entries could not go past a = 32767 (D about
+# 10^9) at all.
 PRACTICAL_DISCRIMINANT_CAP = 10_000_000
 
 
@@ -88,6 +87,20 @@ def _root_table(a_max: int) -> tuple[list[array], list[array]]:
     return _ROOT_OFFSETS, _ROOTS
 
 
+def _small_form_count(D: int) -> int:
+    """Number of roots b in [0, 2a) of b^2 == D (mod 4a), summed over
+    1 <= a <= isqrt(|D|)/2: the reduced forms of D with 4a^2 <= |D| and,
+    for D > 0, a > 0.  One table lookup per a; no root is read."""
+    a_max = math.isqrt(abs(D)) // 2
+    offsets, _ = _root_table(a_max)
+    count = 0
+    for a in range(1, a_max + 1):
+        offs = offsets[a]
+        k = D % (4 * a)
+        count += offs[k + 1] - offs[k]
+    return count
+
+
 # ---------------------------------------------------------------------------
 # Imaginary side: exact count of reduced positive-definite forms.
 # ---------------------------------------------------------------------------
@@ -109,14 +122,9 @@ def class_number_imaginary(D: int) -> int:
     _require_fundamental(D, -1)
     n = -D
     a_max = math.isqrt(n // 3)
-    a_all = math.isqrt(n) // 2  # the largest a with 4a^2 <= n
     offsets, roots = _root_table(a_max)
-    count = 0
-    for a in range(1, a_all + 1):
-        offs = offsets[a]
-        k = D % (4 * a)
-        count += offs[k + 1] - offs[k]
-    for a in range(a_all + 1, a_max + 1):
+    count = _small_form_count(D)
+    for a in range(math.isqrt(n) // 2 + 1, a_max + 1):
         offs = offsets[a]
         k = D % (4 * a)
         lo, hi = offs[k], offs[k + 1]
@@ -136,89 +144,78 @@ def class_number_imaginary(D: int) -> int:
 # Real side: narrow class number as the cycle count of reduced forms.
 # ---------------------------------------------------------------------------
 
-# The reduced indefinite forms (a, b, c) of discriminant D with a > 0 are,
-# for each a <= s = isqrt(D), the root classes r of b^2 == D (mod 4a), each
-# with its one representative b = s - (s - r) % 2a in the window
-# (s - 2a, s], kept when b > 0 and 2a <= s + b.  For 2a <= s every class
-# qualifies; for 2a > s the window's nonnegative part is [0, s], so b = r
-# and the forms are the roots in [2a - s, s].
-
-
-def _reduced_form_count(D: int, s: int) -> int:
-    """Number of reduced indefinite forms of discriminant D with a > 0,
-    s = isqrt(D): one table lookup and at most one bisection per a."""
-    offsets, roots = _root_table(s)
-    count = 0
-    for a in range(1, s // 2 + 1):
-        offs = offsets[a]
-        k = D % (4 * a)
-        count += offs[k + 1] - offs[k]
-    for a in range(s // 2 + 1, s + 1):
-        offs = offsets[a]
-        k = D % (4 * a)
-        lo, hi = offs[k], offs[k + 1]
-        if lo < hi:
-            rts = roots[a]
-            count += bisect_right(rts, s, lo, hi) - bisect_left(rts, 2 * a - s, lo, hi)
-    return count
-
-
-def _reduced_forms(D: int, s: int) -> Iterator[tuple[int, int]]:
-    """(a, b) of the reduced indefinite forms of discriminant D with a > 0,
-    in ascending a, generated lazily."""
-    offsets, roots = _root_table(s)
-    for a in range(1, s + 1):
-        offs = offsets[a]
-        k = D % (4 * a)
-        two_a = 2 * a
-        b_min = two_a - s
-        for r in roots[a][offs[k] : offs[k + 1]]:
-            b = s - (s - r) % two_a
-            if b >= b_min:
-                yield a, b
+# Reduced indefinite forms (a, b, c) of discriminant D, s = isqrt(D), have
+# 0 < b <= s and s - b < 2|a| <= s + b.  Two facts let the walk start from
+# the forms with a > 0 and 2a <= s alone:
+# 1. Every rho-cycle holds a form with 2|a| <= s.  Consecutive forms
+#    (a_i, b_i, a_{i+1}) satisfy |a_i * a_{i+1}| = (D - b_i^2)/4 < D/4,
+#    so one of them has 2|a| < sqrt(D), that is 2|a| <= s.
+# 2. N(a, b, c) = (-a, b, -c) maps reduced forms to reduced forms and
+#    commutes with rho, so it permutes the cycles: reducedness and the
+#    window of rho's middle coefficient depend on |a| and |c| only.
+# So a cycle whose small forms all have a < 0 is the N-image of one with a
+# small form of a > 0.  For 2a <= s each root class of b^2 == D (mod 4a)
+# has one representative in (s - 2a, s], and it is reduced.
 
 
 def class_number_real_narrow(D: int) -> int:
     """Narrow class number h+ of the real quadratic field of discriminant D.
 
-    Equals the number of reduction cycles partitioning the reduced
-    indefinite forms of discriminant D.  The reduction step flips the sign
-    of the leading coefficient, so a cycle of length 2L holds exactly L
-    forms with a > 0 and they make up one orbit of the double step; the
-    count is taken over those orbits.  The forms are counted first, in
-    about sqrt(D) table lookups, then the walk takes its starts from them
-    in ascending a and stops as soon as its cycles hold every counted
-    form, so it visits each form once and never holds a list of them.
-    A cycle that does not close within the count, or cycles that
-    do not cover it, raise ArithmeticError.
+    Equals the number of rho-cycles of the reduced indefinite forms of
+    discriminant D.  A cycle of length 2L holds L forms with a > 0, one
+    orbit of the double step rho^2, and is walked over those.  The forms
+    with a > 0 and 2a <= s = isqrt(D) are counted first, in about s/2
+    table lookups; the walks start from them in ascending a.  Each middle
+    form (c, r, a') of a walk over a cycle Z negates to a form of N(Z)
+    with a > 0; if the first is not in Z, N(Z) is a second cycle and its
+    forms are marked as seen.  The count stops once its cycles hold every
+    counted form.  A walk that does not close within s*s steps, or cycles
+    that do not cover the counted forms, raise ArithmeticError.
     """
     _require_fundamental(D, 1)
     s = math.isqrt(D)
-    total = _reduced_form_count(D, s)
-    width = s + 1  # a form (a, b) has the key a * width + b, 0 < b <= s
+    half = s // 2
+    small = _small_form_count(D)
+    offsets, roots = _root_table(half)
+    width = s + 1  # a form (a, b) with a > 0 has the key a * width + b, 0 < b <= s
+    small_end = (half + 1) * width  # the keys of the forms with 2a <= s lie below
     seen: set[int] = set()
+    covered = 0
     cycles = 0
-    for a, b in _reduced_forms(D, s):
-        start = a * width + b
-        if start in seen:
-            continue
-        cycles += 1
-        key = start
-        for _ in range(total - len(seen)):
-            seen.add(key)
-            # two steps: (a, b, c) -> (c, r, a1) -> (a1, b1, c1), with c < 0 < a1
-            c = (b * b - D) // (4 * a)
-            r = s - (s + b) % (-2 * c)
-            a = (r * r - D) // (4 * c)
-            b = s - (s + r) % (2 * a)
-            key = a * width + b
-            if key == start:
-                break
-        else:
-            raise ArithmeticError(f"reduction cycle failed to close for D={D}")
-        if len(seen) == total:
-            return cycles
-    raise ArithmeticError(f"reduction cycles do not cover the {total} reduced forms of D={D}")
+    for a0 in range(1, half + 1):
+        offs = offsets[a0]
+        k = D % (4 * a0)
+        for r0 in roots[a0][offs[k] : offs[k + 1]]:
+            b = s - (s - r0) % (2 * a0)
+            start = key = a0 * width + b
+            if start in seen:
+                continue
+            a = a0
+            image: list[int] = []
+            for _ in range(s * s):  # forms with a > 0 have 1 <= a, b <= s
+                seen.add(key)
+                if a <= half:
+                    covered += 1
+                # two steps: (a, b, c) -> (c, r, a1) -> (a1, b1, c1), with c < 0 < a1
+                c = (b * b - D) // (4 * a)
+                r = s - (s + b) % (-2 * c)
+                image.append(r - c * width)
+                a = (r * r - D) // (4 * c)
+                b = s - (s + r) % (2 * a)
+                key = a * width + b
+                if key == start:
+                    break
+            else:
+                raise ArithmeticError(f"reduction cycle failed to close for D={D}")
+            cycles += 1
+            # N(Z) is no earlier cycle, or Z would have been seen as its image
+            if image[0] not in seen:
+                seen.update(image)
+                covered += sum(1 for n in image if n < small_end)
+                cycles += 1
+            if covered == small:
+                return cycles
+    raise ArithmeticError(f"reduction cycles do not cover the {small} small forms of D={D}")
 
 
 def three_divides_real_class_number(d: int) -> bool:

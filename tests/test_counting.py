@@ -71,6 +71,11 @@ class TestTruthSeries:
         assert 79 in tally
         assert series.label == "N_plus_truth"
 
+    def test_pinned_to_5e4(self):
+        # 554 is configs/reference_n_truth.csv's last row; 3,285 was
+        # measured with the oracle that counted every reduced form first
+        assert truth_count_series((10_000, 50_000)).checkpoints == ((10_000, 554), (50_000, 3285))
+
     def test_x4_is_zero(self):
         assert truth_count_series((4,)).checkpoints == ((4, 0),)
 

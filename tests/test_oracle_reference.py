@@ -5,27 +5,42 @@ The reference implementations below loop over b and trial-divide
 share no code with the square-root table, so agreement on every
 fundamental discriminant with |D| <= 10^4 checks the enumeration by
 leading coefficient.  The property tests cover both oracles on random
-discriminants up to the benchmark's range, the table itself and the
-closure of rho-cycles.
+discriminants up to the benchmark's range, the table itself, the
+closure of rho-cycles and the two cycle facts the real oracle starts from.
 """
 
 import math
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccsieve.classnum import (
-    _reduced_form_count,
     _root_table,
+    _small_form_count,
     class_number_imaginary,
     class_number_real_narrow,
     is_fundamental_discriminant,
 )
-from reference import QuadraticForm, fundamental_range, reduced_indefinite_forms, rho
+from reference import (
+    QuadraticForm,
+    fundamental_range,
+    is_reduced_indefinite,
+    reduced_indefinite_forms,
+    rho,
+)
 
 REFERENCE_RANGE = 10_000
 # the largest |D| the benchmark's count and falsify-scholz stages reach
 BENCH_RANGE = 240_000
+
+
+def fundamental_discriminants(lo: int, hi: int) -> st.SearchStrategy[int]:
+    """Fundamental discriminants in [lo, hi].  About 0.3 of the integers are
+    fundamental.  Hypothesis fails a test that discards 50 inputs before
+    its 10th valid one; at that rate, drawing uniformly, assume would do so
+    in about 0.6 % of runs, while a filter tries three draws before it
+    discards an input."""
+    return st.integers(min_value=lo, max_value=hi).filter(is_fundamental_discriminant)
 
 
 def reference_reduced_triples(D: int) -> list[tuple[int, int, int]]:
@@ -65,26 +80,33 @@ def reference_class_number_imaginary(D: int) -> int:
     return count
 
 
-def _rho_cycle_count(forms: list[QuadraticForm], D: int) -> int:
-    """Number of rho-cycles on `forms`, asserting each one closes inside
-    the set within len(forms) steps."""
+def _rho_cycles(forms: list[QuadraticForm], D: int) -> list[list[QuadraticForm]]:
+    """The rho-cycles on `forms`, asserting each one closes inside the set
+    within len(forms) steps."""
     form_set = set(forms)
     seen: set[QuadraticForm] = set()
-    cycles = 0
+    cycles = []
     for start in forms:
         if start in seen:
             continue
-        cycles += 1
+        cycle = []
         g = start
         for _ in range(len(forms)):
-            seen.add(g)
+            cycle.append(g)
             g = rho(g, D)
             assert g in form_set
             if g == start:
                 break
         else:
             raise AssertionError(f"rho-cycle of {start} did not close for D={D}")
+        seen.update(cycle)
+        cycles.append(cycle)
     return cycles
+
+
+def _negate(form: QuadraticForm) -> QuadraticForm:
+    """N(a, b, c) = (-a, b, -c)."""
+    return QuadraticForm(-form.a, form.b, -form.c)
 
 
 class TestAgainstTrialDivision:
@@ -92,7 +114,7 @@ class TestAgainstTrialDivision:
         for D in fundamental_range(5, REFERENCE_RANGE):
             reference = sorted(QuadraticForm(*t) for t in reference_reduced_triples(D))
             assert reduced_indefinite_forms(D) == reference, D
-            assert class_number_real_narrow(D) == _rho_cycle_count(reference, D), D
+            assert class_number_real_narrow(D) == len(_rho_cycles(reference, D)), D
 
     def test_imaginary_counts(self):
         for D in fundamental_range(-REFERENCE_RANGE, -3):
@@ -107,22 +129,21 @@ class TestRandomDiscriminants:
     largest h+ in [2*10^5, 2.4*10^5]."""
 
     @settings(deadline=None)
-    @given(st.integers(min_value=5, max_value=BENCH_RANGE))
+    @given(fundamental_discriminants(5, BENCH_RANGE))
     @example(220_665)  # h+ = 152
     @example(224_161)  # h+ = 144
     @example(224_044)  # h+ = 140
     @example(234_745)  # h+ = 136
     @example(212_137)  # h+ = 134
     def test_real(self, D):
-        assume(is_fundamental_discriminant(D))
         forms = sorted(QuadraticForm(*t) for t in reference_reduced_triples(D))
-        assert 2 * _reduced_form_count(D, math.isqrt(D)) == len(forms)
-        assert class_number_real_narrow(D) == _rho_cycle_count(forms, D)
+        s = math.isqrt(D)
+        assert _small_form_count(D) == sum(1 for f in forms if 0 < f.a and 2 * f.a <= s)
+        assert class_number_real_narrow(D) == len(_rho_cycles(forms, D))
 
     @settings(deadline=None)
-    @given(st.integers(min_value=-BENCH_RANGE, max_value=-3))
+    @given(fundamental_discriminants(-BENCH_RANGE, -3))
     def test_imaginary(self, D):
-        assume(is_fundamental_discriminant(D))
         assert class_number_imaginary(D) == reference_class_number_imaginary(D)
 
 
@@ -144,9 +165,29 @@ class TestSquareRootTable:
 
 class TestRhoCycleClosure:
     @settings(deadline=None)
-    @given(st.integers(min_value=5, max_value=200_000))
+    @given(fundamental_discriminants(5, 200_000))
     def test_cycles_close_and_match_the_oracle(self, D):
-        assume(is_fundamental_discriminant(D))
         forms = reduced_indefinite_forms(D)
         assert len(forms) % 2 == 0
-        assert class_number_real_narrow(D) == _rho_cycle_count(forms, D)
+        assert class_number_real_narrow(D) == len(_rho_cycles(forms, D))
+
+
+class TestCycleFacts:
+    """The two facts behind the real oracle's starts, up to the benchmark's
+    range: every rho-cycle holds a form with 2|a| <= isqrt(D), and
+    N(a, b, c) = (-a, b, -c) maps reduced forms to reduced forms and
+    commutes with rho."""
+
+    @settings(deadline=None)
+    @given(fundamental_discriminants(5, BENCH_RANGE))
+    def test_every_cycle_holds_a_small_form(self, D):
+        s = math.isqrt(D)
+        for cycle in _rho_cycles(reduced_indefinite_forms(D), D):
+            assert any(2 * abs(f.a) <= s for f in cycle), (D, cycle)
+
+    @settings(deadline=None)
+    @given(fundamental_discriminants(5, BENCH_RANGE))
+    def test_negation_commutes_with_rho(self, D):
+        for f in reduced_indefinite_forms(D):
+            assert is_reduced_indefinite(_negate(f), D)
+            assert rho(_negate(f), D) == _negate(rho(f, D))

@@ -86,18 +86,15 @@ class RunConfig:
     )
     truth_x_max: int = _setting(10_000, int)
     scholz_bound: int = _setting(100, int)
-    workers: int = _setting(1, int)
+    workers: int = _setting(1, int, "processes for the oracle sweeps of count and falsify-scholz")
     out: Path = _setting(Path("out"), _parse_out, "output directory (or env CCS_OUT)")
     shortcut_only: bool = _setting(
         False, _parse_bool, "restrict the sweep to pairs with 3|m-1 and 3 not dividing n"
     )
 
     def enum_config(self) -> EnumConfig:
-        return EnumConfig(
-            x_cap=max(EnumConfig.x_cap, self.x_max),
-            workers=self.workers,
-            shortcut_only=self.shortcut_only,
-        )
+        x_cap = max(EnumConfig.x_cap, self.x_max)
+        return EnumConfig(x_cap=x_cap, shortcut_only=self.shortcut_only)
 
 
 def _load_config_file(path: Path) -> dict[str, str]:
@@ -258,7 +255,7 @@ def cmd_falsify_scholz(cfg: RunConfig) -> int:
     print(f"counterexamples: {len(items)}")
     print(f"wrote: {path}")
     if not items:
-        print(f"no counterexample below {cfg.scholz_bound}: bug or bound too small")
+        print(f"no counterexample with d <= {cfg.scholz_bound}: bug or bound too small")
         return EXIT_EMPTY_FALSIFICATION
     return EXIT_OK
 

@@ -6,17 +6,20 @@ d with 3 | h(d) from the form-class oracle.  The truth series must
 dominate the sieve series pointwise.  The falsifier searches for
 squarefree d where 3 divides the class number of Q(sqrt(-3d)) but not
 that of Q(sqrt(d)), which kills the reflection-style implication from
-the imaginary side to the real side.
+the imaginary side to the real side.  Both oracle sweeps run on the
+package's one process pool, `parallel_map`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import statistics
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .classnum import (
     PRACTICAL_DISCRIMINANT_CAP,
@@ -25,7 +28,7 @@ from .classnum import (
     field_discriminant,
     three_divides_real_class_number,
 )
-from .honda import ConfigurationError, EnumConfig, enumerate_discriminants, parallel_map, write_csv
+from .honda import ConfigurationError, EnumConfig, enumerate_discriminants, write_csv
 from .intmath import squarefree_decompose
 
 # d maps to discriminant 4d at worst, and the falsifier touches Q(sqrt(-3d)).
@@ -76,6 +79,47 @@ def honda_count_series(
     return CountSeries("N_honda", tuple((x, bisect_right(ds, x)) for x in checkpoints))
 
 
+def _isqrt_sum(x: int) -> int:
+    """isqrt(1) + ... + isqrt(x), x >= 0: with s = isqrt(x), each k < s is
+    the isqrt of the 2k + 1 integers from k^2, and s of the x - s^2 + 1
+    from s^2."""
+    s = math.isqrt(x)
+    return (s - 1) * s * (4 * s + 1) // 6 + s * (x - s * s + 1)
+
+
+def _chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
+    """Split [lo, hi], lo >= 1, into at most `parts` consecutive ranges of
+    about equal total cost, d costing isqrt(d): an oracle call costs
+    about sqrt(D) table lookups."""
+    if hi < lo:
+        return []
+    base = _isqrt_sum(lo - 1)
+    total = _isqrt_sum(hi) - base
+    chunks = []
+    a = lo
+    for j in range(1, parts):
+        b = bisect_left(range(lo, hi + 1), base - (-total * j // parts), key=_isqrt_sum) + lo
+        if a <= b < hi:
+            chunks.append((a, b))
+            a = b + 1
+    chunks.append((a, hi))
+    return chunks
+
+
+def parallel_map(fn: Callable[[int, int], list], lo: int, hi: int, workers: int) -> list:
+    """The lists fn(a, b) over the chunks [a, b] of [lo, hi], concatenated
+    in range order.  There are at most min(workers, CPU count) chunks; a
+    lone chunk runs in this process, more run on a pool of one process
+    per chunk."""
+    if workers < 1:
+        raise ConfigurationError("workers must be >= 1")
+    chunks = _chunks(lo, hi, min(workers, os.cpu_count() or 1))
+    if len(chunks) <= 1:
+        return fn(lo, hi)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(chain.from_iterable(pool.map(fn, *zip(*chunks))))
+
+
 def _truth_chunk(lo: int, hi: int) -> list[int]:
     """Squarefree d in [lo, hi] whose real class number is divisible by 3."""
     hits = []
@@ -92,8 +136,7 @@ def truth_count_series(checkpoints: Sequence[int], workers: int = 1) -> CountSer
     x_max = checkpoints[-1]
     if x_max > TRUTH_X_CAP:
         raise ConfigurationError(f"checkpoint {x_max} exceeds the oracle range {TRUTH_X_CAP}")
-    # each oracle call costs about sqrt(D) table lookups; chunks come back in order
-    hits = list(chain.from_iterable(parallel_map(_truth_chunk, 2, x_max, workers, math.isqrt)))
+    hits = parallel_map(_truth_chunk, 2, x_max, workers)
     return CountSeries("N_plus_truth", tuple((x, bisect_right(hits, x)) for x in checkpoints))
 
 
@@ -147,8 +190,7 @@ def scholz_counterexample_search(bound: int, workers: int = 1) -> list[tuple[int
         raise ValueError("bound must be at least 2")
     if bound > SCHOLZ_BOUND_CAP:
         raise ConfigurationError(f"bound={bound} exceeds the oracle range {SCHOLZ_BOUND_CAP}")
-    parts = parallel_map(_scholz_chunk, 2, bound, workers, math.isqrt)
-    return list(chain.from_iterable(parts))
+    return parallel_map(_scholz_chunk, 2, bound, workers)
 
 
 def write_series_csv(series: CountSeries, path) -> None:

@@ -21,10 +21,10 @@ isqrt settles (u, d).  The n for which X^3 - m*X + n has an integer
 root x are excluded per row as the set of x*(m - x^2), so no pair is
 trial-divided.  One list of the primes with p^3 <= 4*m_max^3, built
 once per sweep and never at import, gives the square-root tables and
-the primes dividing each m.
+the primes dividing each m.  The sweep runs in this process.
 
-The package's one process pool (`parallel_map`, ranges split by cost)
-and its one CSV row writer and reader (`write_csv`, `read_csv`) live here.
+The package's one CSV row writer and reader (`write_csv`, `read_csv`)
+live here.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ from __future__ import annotations
 import math
 import os
 import re
-from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, compress
+from itertools import compress
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .intmath import cubic_has_integer_root, icbrt, is_squarefree, primes_upto
 
@@ -60,7 +57,6 @@ class EnumConfig:
     u_cap: int = 4
     n_max: int = 32
     x_cap: int = 1_000_000
-    workers: int = 1
     shortcut_only: bool = False
 
 
@@ -196,25 +192,23 @@ def _sieve_row(
 
 
 def _sweep_m_range(
-    X: int, m_lo: int, m_hi: int, shortcut_only: bool
+    X: int, m_hi: int, shortcut_only: bool
 ) -> dict[int, tuple[int, int, int, int]]:
-    """Sweep m in [m_lo, m_hi], keeping per d <= X the witness (d, m, n, u)
+    """Sweep m in [2, m_hi], keeping per d <= X the witness (d, m, n, u)
     with the lex-least (m, n, u).
 
     Rows are visited in ascending m and each row in ascending n, so the
-    first pair to yield a d carries its lex-least witness in the range.
+    first pair to yield a d carries its lex-least witness.
     """
     found: dict[int, tuple[int, int, int, int]] = {}
-    if m_hi < max(2, m_lo):
-        return found
     primes = primes_upto(icbrt(4 * m_hi * m_hi * m_hi))
     tables = _root_tables(primes)
     isqrt = math.isqrt
-    for m in range(max(2, m_lo), m_hi + 1):
+    for m in range(2, m_hi + 1):
         if m % 3 == 0 or (shortcut_only and m % 3 != 1):
             continue
         t4 = 4 * m * m * m
-        n_hi = _row_length(m)
+        n_hi = isqrt((t4 - 1) // 27)  # the largest n with 27*n^2 < 4*m^3
         d_part, u_part = _sieve_row(m, n_hi, tables)
         for n in compress(range(n_hi + 1), _kept_n(m, n_hi, shortcut_only, primes)):
             d = d_part[n]
@@ -231,48 +225,6 @@ def _sweep_m_range(
     return found
 
 
-def _row_length(m: int) -> int:
-    """Number of n >= 1 with 27*n^2 < 4*m^3, the cost of sweeping row m."""
-    return math.isqrt((4 * m * m * m - 1) // 27)
-
-
-def _chunks(lo: int, hi: int, parts: int, cost: Callable[[int], int]) -> list[tuple[int, int]]:
-    """Split [lo, hi] into at most `parts` consecutive ranges of about equal
-    total cost, the range [a, b] costing cost(a) + ... + cost(b)."""
-    if hi < lo:
-        return []
-    total = list(accumulate(map(cost, range(lo, hi + 1))))
-    chunks = []
-    a = lo
-    for j in range(1, parts):
-        b = lo + bisect_left(total, -(-total[-1] * j // parts))
-        if a <= b < hi:
-            chunks.append((a, b))
-            a = b + 1
-    chunks.append((a, hi))
-    return chunks
-
-
-def parallel_map(
-    fn: Callable[[int, int], object], lo: int, hi: int, workers: int, cost: Callable[[int], int]
-) -> list:
-    """[fn(a, b) for each chunk [a, b] of [lo, hi]], in range order.
-
-    The chunks are at most min(workers, CPU count) consecutive ranges of
-    about equal total cost.  With one worker (or one chunk) fn runs once
-    in this process over the whole range; otherwise each chunk runs in its
-    own process of a pool of exactly as many processes as chunks.
-    """
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
-    workers = min(workers, os.cpu_count() or 1)
-    chunks = [(lo, hi)] if workers == 1 else _chunks(lo, hi, workers, cost)
-    if len(chunks) <= 1:
-        return [fn(a, b) for a, b in chunks]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(fn, *zip(*chunks)))
-
-
 def enumerate_discriminants(
     X: int, config: EnumConfig = EnumConfig()
 ) -> list[tuple[int, int, int, int]]:
@@ -280,17 +232,10 @@ def enumerate_discriminants(
     in [2, X] discoverable in the (m, n) box, sorted by d.
 
     The canonical witness is the lexicographically least (m, n, u) found
-    for d; the result is identical no matter how the m range is split
-    across workers.
+    for d.
     """
-    m_hi = _check_sweep_config(X, config)
-    sweep = partial(_sweep_m_range, X, shortcut_only=config.shortcut_only)
-    # The chunks ascend in m, so the first chunk holding d has its lex-least
-    # witness: merge the last chunk first and let earlier ones overwrite.
-    best: dict[int, tuple[int, int, int, int]] = {}
-    for part in reversed(parallel_map(sweep, 2, m_hi, config.workers, _row_length)):
-        best.update(part)
-    return sorted(best.values())  # d is unique, so this is d order
+    found = _sweep_m_range(X, _check_sweep_config(X, config), config.shortcut_only)
+    return sorted(found.values())  # d is unique, so this is d order
 
 
 def write_csv(path, header: str, rows: Iterable[tuple], comment: str | None = None) -> None:

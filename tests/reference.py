@@ -9,7 +9,9 @@ with a continued-fraction regulator) and the widened-window recount are
 independent routes to the class numbers, and mod3_shortcut_no_root is
 the sufficient condition for rootlessness behind --shortcut-only;
 cubic_root_by_divisors is the divisor scan that cubic_has_integer_root
-replaced, and squarefree_sieve marks the squarefree integers by sieving.
+replaced, squarefree_sieve marks the squarefree integers by sieving, and
+chunks_by_prefix is the prefix-sum split that the pool's closed-form
+chunking must reproduce.
 Import with `from reference import ...`: pytest puts tests/ on sys.path.
 """
 
@@ -17,8 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate
+from typing import Callable, NamedTuple
 
 from ccsieve.classnum import (
     _require_fundamental,
@@ -277,3 +281,24 @@ def cubic_root_by_divisors(m: int, n: int) -> bool:
     """True iff X^3 - m*X + n has an integer root, for m, n >= 1, by the
     divisor scan over n (cached per n)."""
     return m in _cubic_root_ms(n)
+
+
+def chunks_by_prefix(
+    lo: int, hi: int, parts: int, cost: Callable[[int], int]
+) -> list[tuple[int, int]]:
+    """Split [lo, hi] into at most `parts` consecutive ranges of about equal
+    total cost from the list of prefix sums of cost(lo), ..., cost(hi):
+    the j-th split point is the first index whose prefix reaches j/parts
+    of the total, rounded up."""
+    if hi < lo:
+        return []
+    total = list(accumulate(map(cost, range(lo, hi + 1))))
+    chunks = []
+    a = lo
+    for j in range(1, parts):
+        b = lo + bisect_left(total, -(-total[-1] * j // parts))
+        if a <= b < hi:
+            chunks.append((a, b))
+            a = b + 1
+    chunks.append((a, hi))
+    return chunks

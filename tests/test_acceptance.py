@@ -16,7 +16,9 @@ lines as they print.  Tolerances are pinned here and nowhere else:
   7. analytic estimate within +-0.5 of h+ or h+/2 for all fundamental
      0 < D <= 500; widened-window recount stable for -500 <= D < 0;
      under 30 s
-  8. byte-identical enumeration artifacts for workers 1, 2, 8
+  8. byte-identical artifacts for workers 1, 2, 8: witnesses.csv from
+     enumerate (one process whatever the count), and the pool paths,
+     n_truth.csv from count and counterexamples.csv from falsify-scholz
 """
 
 import time
@@ -183,13 +185,22 @@ def test_criterion_7_oracle_cross_validation():
 
 
 def test_criterion_8_worker_determinism(tmp_path):
-    blobs = []
+    runs = {
+        "witnesses.csv": ["enumerate", "--x-max", "10000"],
+        "n_truth.csv": [
+            "count", "--checkpoints", "100,1000,5000", "--x-max", "5000", "--truth-x-max", "5000"
+        ],
+        "counterexamples.csv": ["falsify-scholz", "--scholz-bound", "1000"],
+    }
+    blobs = {name: [] for name in runs}
     for workers in (1, 2, 8):
         out = tmp_path / f"w{workers}"
-        assert main(["enumerate", "--x-max", "10000", "--workers", str(workers), "--out", str(out)]) == 0
-        blobs.append((out / "witnesses.csv").read_bytes())
+        for name, argv in runs.items():
+            assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
+            blobs[name].append((out / name).read_bytes())
     _criterion(
         8,
-        "cmd_enumerate byte-identical for workers in {1, 2, 8}",
-        blobs[0] == blobs[1] == blobs[2] and len(blobs[0]) > len(b"d,m,n,u\n"),
+        "witnesses.csv, n_truth.csv and counterexamples.csv byte-identical "
+        "for workers in {1, 2, 8}",
+        all(a == b == c and a.count(b"\n") > 2 for a, b, c in blobs.values()),
     )

@@ -308,10 +308,13 @@ class TestFalsifyScholz:
         assert text.startswith("d,h_real_narrow,h_imag\n")
         assert "69,2,3\n" in text
 
-    def test_bound_4_exits_4(self, tmp_path):
+    def test_bound_4_exits_4(self, tmp_path, capsys):
         code = run("falsify-scholz", "--scholz-bound", "4", "--out", str(tmp_path))
         assert code == EXIT_EMPTY_FALSIFICATION
         assert (tmp_path / "counterexamples.csv").read_bytes() == b"d,h_real_narrow,h_imag\n"
+        # the search includes d = 4 itself
+        lines = capsys.readouterr().out.splitlines()
+        assert "no counterexample with d <= 4: bug or bound too small" in lines
 
     def test_rerun_identical(self, tmp_path):
         run("falsify-scholz", "--scholz-bound", "90", "--out", str(tmp_path))

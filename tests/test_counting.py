@@ -1,9 +1,13 @@
-"""Count-series, slope-fit, and falsifier tests."""
+"""Count-series, slope-fit, falsifier and process-pool tests."""
 
 import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccsieve import counting
 from ccsieve.classnum import (
     class_number_imaginary,
     class_number_real_narrow,
@@ -12,8 +16,10 @@ from ccsieve.classnum import (
 )
 from ccsieve.counting import (
     CountSeries,
+    _chunks,
     fit_slope,
     honda_count_series,
+    parallel_map,
     scholz_counterexample_search,
     truth_count_series,
     write_counterexamples_csv,
@@ -21,6 +27,7 @@ from ccsieve.counting import (
 )
 from ccsieve.honda import ConfigurationError, EnumConfig, enumerate_discriminants
 from ccsieve.intmath import is_squarefree
+from reference import chunks_by_prefix
 
 
 class TestHondaSeries:
@@ -186,3 +193,113 @@ class TestSeriesCsv:
         path = tmp_path / "ce.csv"
         write_counterexamples_csv(items, path)
         assert path.read_text(encoding="utf-8") == "d,h_real_narrow,h_imag\n69,2,3\n"
+
+
+class TestPartition:
+    CASES = ((2, 342, 2), (2, 342, 8), (5, 7, 8), (2, 2, 3), (10, 400, 1), (2, 20_000, 1_000))
+
+    def test_contiguous_cover(self):
+        for lo, hi, parts in self.CASES:
+            chunks = _chunks(lo, hi, parts)
+            assert 1 <= len(chunks) <= parts
+            assert chunks[0][0] == lo and chunks[-1][1] == hi
+            assert all(a <= b for a, b in chunks)
+            assert all(a[1] + 1 == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert _chunks(5, 4, 2) == []
+
+    def test_balanced_by_isqrt(self):
+        # each chunk costs at most its equal share plus its dearest d
+        for parts in (2, 3, 8):
+            chunks = _chunks(2, 20_000, parts)
+            assert len(chunks) == parts
+            total = sum(map(math.isqrt, range(2, 20_001)))
+            for lo, hi in chunks:
+                assert sum(map(math.isqrt, range(lo, hi + 1))) <= total / parts + math.isqrt(hi)
+
+    def test_matches_prefix_split_on_grid(self):
+        grid = (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 99, 100, 101, 1_000, 20_000)
+        for lo in grid:
+            for hi in grid:
+                for parts in (1, 2, 3, 7, 8, 64):
+                    expected = chunks_by_prefix(lo, hi, parts, math.isqrt)
+                    assert _chunks(lo, hi, parts) == expected, (lo, hi, parts)
+        for parts in (2, 8):
+            assert _chunks(2, 200_000, parts) == chunks_by_prefix(2, 200_000, parts, math.isqrt)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=-1, max_value=5_000),
+        st.integers(min_value=1, max_value=70),
+    )
+    def test_matches_prefix_split_on_random_ranges(self, lo, length, parts):
+        hi = lo + length
+        assert _chunks(lo, hi, parts) == chunks_by_prefix(lo, hi, parts, math.isqrt)
+
+
+def _span(lo, hi):
+    return list(range(lo, hi + 1))
+
+
+CPUS = 64  # the CPU count the pool tests pin, whatever the machine has
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by an in-process map, pin os.cpu_count to
+    CPUS and record the size each pool is asked for, so no test starts a
+    large pool."""
+    sizes = []
+    monkeypatch.setattr(os, "cpu_count", lambda: CPUS)
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+class TestParallelMap:
+    def test_results_in_range_order(self, pool_sizes):
+        for workers in (1, 2, 3, 64):
+            assert parallel_map(_span, 2, 5_000, workers) == _span(2, 5_000)
+        assert pool_sizes == [2, 3, 64]
+
+    def test_pool_size_equals_chunk_count(self, pool_sizes):
+        for lo, hi, workers in ((2, 20_000, 2), (2, 20_000, 5), (2, 20_000, 64), (5, 7, 64)):
+            assert parallel_map(_span, lo, hi, workers) == _span(lo, hi)
+            assert len(_chunks(lo, hi, workers)) == pool_sizes[-1]
+        assert pool_sizes[-1] == 3  # [5, 7] holds three indices
+
+    def test_single_chunk_runs_in_process(self, pool_sizes):
+        assert parallel_map(_span, 2, 10, 1) == _span(2, 10)
+        assert parallel_map(_span, 7, 7, 8) == [7]
+        assert parallel_map(_span, 8, 7, 8) == []
+        assert pool_sizes == []
+
+    def test_pool_bounded_by_cpu_count(self, pool_sizes, monkeypatch):
+        assert parallel_map(_span, 2, 20_000, 20_000) == _span(2, 20_000)
+        assert pool_sizes == [CPUS]
+        # an unknown CPU count allows one process: the range runs in-process
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert parallel_map(_span, 2, 10, 20_000) == _span(2, 10)
+        assert pool_sizes == [CPUS]
+
+    def test_two_process_pool_keeps_range_order(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert len(_chunks(2, 3_000, 2)) == 2
+        assert parallel_map(_span, 2, 3_000, 2) == _span(2, 3_000)
+
+    def test_bad_worker_count(self):
+        with pytest.raises(ConfigurationError):
+            parallel_map(_span, 2, 10, 0)

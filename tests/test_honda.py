@@ -7,21 +7,14 @@ are verified inline where they matter.
 """
 
 import hashlib
-import math
-import os
-from itertools import chain
 
 import pytest
 
-from ccsieve import honda
 from ccsieve.honda import (
     ConfigurationError,
     EnumConfig,
-    _chunks,
-    _row_length,
     derived_m_max,
     enumerate_discriminants,
-    parallel_map,
     read_csv,
     read_witnesses_csv,
     validate_witness,
@@ -114,11 +107,6 @@ class TestEnumerate:
         for d, w in small.items():
             assert large[d] == w
 
-    def test_partition_determinism(self):
-        base = enumerate_discriminants(20_000, EnumConfig(workers=1))
-        for k in (2, 8):
-            assert enumerate_discriminants(20_000, EnumConfig(workers=k)) == base
-
     def test_shortcut_subfamily(self):
         full = {w[0] for w in enumerate_discriminants(20_000)}
         sub = enumerate_discriminants(20_000, EnumConfig(shortcut_only=True))
@@ -140,10 +128,6 @@ class TestEnumerate:
     def test_cap_exceeded_is_config_error(self):
         with pytest.raises(ConfigurationError):
             enumerate_discriminants(2_000_000, EnumConfig(x_cap=1_000_000))
-
-    def test_bad_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            enumerate_discriminants(100, EnumConfig(workers=0))
 
     def test_bad_u_cap(self):
         with pytest.raises(ConfigurationError, match="u_cap must be >= 1"):
@@ -170,112 +154,6 @@ class TestLargeCounts:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "f5297c4ca74852a8a063e57f7d1b5cb0fe390329b76ec3b9305aad20380e149f"
         )
-
-
-class TestPartition:
-    @staticmethod
-    def row_length(m):
-        return math.isqrt((4 * m**3 - 1) // 27)
-
-    def test_contiguous_cover(self):
-        # the Honda sweep's row length and the oracle sweeps' sqrt(d)
-        cases = ((2, 342, 2), (2, 342, 8), (5, 7, 8), (2, 2, 3), (10, 400, 1), (2, 20_000, 1_000))
-        for cost in (_row_length, math.isqrt):
-            for m_lo, m_hi, parts in cases:
-                chunks = _chunks(m_lo, m_hi, parts, cost)
-                assert 1 <= len(chunks) <= parts
-                assert chunks[0][0] == m_lo and chunks[-1][1] == m_hi
-                assert all(lo <= hi for lo, hi in chunks)
-                assert all(a[1] + 1 == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert _chunks(5, 4, 2, _row_length) == []
-
-    def test_balanced_by_row_length(self):
-        # each chunk costs at most its equal share plus one row
-        for parts in (2, 3, 8):
-            chunks = _chunks(2, 342, parts, _row_length)
-            assert len(chunks) == parts
-            total = sum(self.row_length(m) for m in range(2, 343))
-            longest = self.row_length(342)
-            for lo, hi in chunks:
-                assert sum(self.row_length(m) for m in range(lo, hi + 1)) <= total / parts + longest
-
-
-def _span(lo, hi):
-    return list(range(lo, hi + 1))
-
-
-CPUS = 64  # the CPU count the pool tests pin, whatever the machine has
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool by an in-process map, pin os.cpu_count to
-    CPUS and record the size each pool is asked for, so no test starts a
-    large pool."""
-    sizes = []
-    monkeypatch.setattr(os, "cpu_count", lambda: CPUS)
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(honda, "ProcessPoolExecutor", InlinePool)
-    return sizes
-
-
-class TestParallelMap:
-    COSTS = (_row_length, math.isqrt)
-
-    def test_results_in_range_order(self, pool_sizes):
-        for cost in self.COSTS:
-            for workers in (1, 2, 3, 64):
-                parts = parallel_map(_span, 2, 5_000, workers, cost)
-                assert len(parts) <= workers
-                assert list(chain.from_iterable(parts)) == _span(2, 5_000)
-
-    def test_pool_size_equals_chunk_count(self, pool_sizes):
-        for cost in self.COSTS:
-            for lo, hi, workers in ((2, 20_000, 2), (2, 20_000, 5), (2, 20_000, 64), (5, 7, 64)):
-                parts = parallel_map(_span, lo, hi, workers, cost)
-                assert len(parts) == len(_chunks(lo, hi, workers, cost)) == pool_sizes[-1]
-        assert pool_sizes[-1] == 3  # [5, 7] holds three indices
-
-    def test_single_chunk_runs_in_process(self, pool_sizes):
-        def no_cost(_):
-            raise AssertionError("cost evaluated for a single chunk")
-
-        assert parallel_map(_span, 2, 10, 1, no_cost) == [_span(2, 10)]
-        assert parallel_map(_span, 7, 7, 8, math.isqrt) == [[7]]
-        assert parallel_map(_span, 8, 7, 8, no_cost) == []
-        assert pool_sizes == []
-
-    def test_pool_bounded_by_cpu_count(self, pool_sizes, monkeypatch):
-        parts = parallel_map(_span, 2, 20_000, 20_000, math.isqrt)
-        assert len(parts) == pool_sizes[-1] == CPUS
-        assert list(chain.from_iterable(parts)) == _span(2, 20_000)
-        # an unknown CPU count allows one process: the range runs in-process
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert parallel_map(_span, 2, 10, 20_000, math.isqrt) == [_span(2, 10)]
-        assert pool_sizes == [CPUS]
-
-    def test_two_process_pool_keeps_range_order(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        parts = parallel_map(_span, 2, 3_000, 2, math.isqrt)
-        assert len(parts) == 2
-        assert list(chain.from_iterable(parts)) == _span(2, 3_000)
-
-    def test_bad_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            parallel_map(_span, 2, 10, 0, math.isqrt)
 
 
 class TestMBound:

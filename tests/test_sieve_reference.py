@@ -4,8 +4,8 @@ The reference below splits 4m^3 - 27n^2 for every pair of the box with
 `squarefree_decompose` and tests rootlessness with the divisor scan
 `reference.cubic_root_by_divisors`.  It shares no code with the sieve's
 residue classes, square-root tables or excluded-root sets, so equal
-dictionaries check the whole row sieve, including the lex-least tie-break
-on split m ranges.
+dictionaries check the whole row sieve, including the lex-least
+tie-break.
 """
 
 import math
@@ -14,24 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsieve.honda import (
-    EnumConfig,
-    _chunks,
-    _cubic_root_ns,
-    _row_length,
-    _sweep_m_range,
-    derived_m_max,
-)
+from ccsieve.honda import EnumConfig, _cubic_root_ns, _sweep_m_range, derived_m_max
 from ccsieve.intmath import squarefree_decompose
 from reference import cubic_root_by_divisors
 
 
 def reference_sweep_m_range(
-    X: int, m_lo: int, m_hi: int, shortcut_only: bool
+    X: int, m_hi: int, shortcut_only: bool
 ) -> dict[int, tuple[int, int, int]]:
-    """Sweep m in [m_lo, m_hi], keeping the lex-least (m, n, u) per d <= X."""
+    """Sweep m in [2, m_hi], keeping the lex-least (m, n, u) per d <= X."""
     found: dict[int, tuple[int, int, int]] = {}
-    for m in range(max(2, m_lo), m_hi + 1):
+    for m in range(2, m_hi + 1):
         t4 = 4 * m * m * m
         n_hi = math.isqrt((t4 - 1) // 27)
         for n in range(1, n_hi + 1):
@@ -63,25 +56,14 @@ def as_rows(found: dict[int, tuple[int, int, int]]) -> dict[int, tuple[int, int,
 @pytest.mark.parametrize("X", [10**3, 10**5, 10**6])
 def test_full_box_matches_reference(X, shortcut_only):
     m_hi = derived_m_max(X, EnumConfig())
-    got = _sweep_m_range(X, 2, m_hi, shortcut_only)
-    assert got == as_rows(reference_sweep_m_range(X, 2, m_hi, shortcut_only))
+    got = _sweep_m_range(X, m_hi, shortcut_only)
+    assert got == as_rows(reference_sweep_m_range(X, m_hi, shortcut_only))
     assert got  # both families are nonempty at these bounds
 
 
-@pytest.mark.parametrize("shortcut_only", [False, True])
-def test_split_ranges_match_reference(shortcut_only):
-    X = 10**6
-    m_hi = derived_m_max(X, EnumConfig())
-    ranges = _chunks(2, m_hi, 3, _row_length)
-    ranges += [(17, 40), (41, 41), (99, 99), (100, m_hi), (m_hi, m_hi)]
-    for m_lo, hi in ranges:
-        assert _sweep_m_range(X, m_lo, hi, shortcut_only) == as_rows(
-            reference_sweep_m_range(X, m_lo, hi, shortcut_only)
-        ), (m_lo, hi)
-
-
 def test_empty_range():
-    assert _sweep_m_range(10**6, 50, 49, False) == {}
+    for m_hi in (0, 1):
+        assert _sweep_m_range(10**6, m_hi, False) == {}
 
 
 @settings(deadline=None, max_examples=60)

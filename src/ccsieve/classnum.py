@@ -10,23 +10,25 @@ so every 3-divisibility question is answered through h+.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from itertools import accumulate
+from operator import sub
 
 from .intmath import is_squarefree
 
-# Per discriminant both oracles count the root classes of a <= sqrt(|D|)/2
-# in the square-root table by their size alone, one lookup per a.  The
-# imaginary one then reads the roots of sqrt(|D|)/2 < a <= sqrt(|D|/3).
-# The real one reads no table past sqrt(D)/2: it takes one double reduction
-# step per reduced form with a > 0 in the cycles it walks, of which there
-# are O(sqrt(D) log D) on average, and stops once they hold every counted
-# form.  The shared table is grown once to the largest |D| seen: to
-# a = sqrt(D)/2, about 1.5*D bytes, for real D and to a = sqrt(|D|/3),
-# about 2*|D| bytes, for imaginary D, so 20 MB at this cap.  Past it the
-# oracle stops being a desk-scale tool; the callers in counting stay below
-# it, and the table's 16-bit entries could not go past a = 32767 (D about
-# 10^9) at all.
+# Both oracles start from the number of reduced forms with 4a^2 <= |D|,
+# counting each root class of b^2 == D (mod 4a) by its size.  The sweeps in
+# counting sieve these counts over a progression of D (_small_form_counts,
+# a few C-level passes per a); a one-off call makes one table lookup per
+# a <= sqrt(|D|)/2.  The imaginary oracle then reads the roots of
+# sqrt(|D|)/2 < a <= sqrt(|D|/3); the real one takes O(sqrt(D) log D)
+# double reduction steps on average.  The shared table is grown once to
+# the largest |D| seen: to a = sqrt(D)/2, about 1.5*D bytes, for real D and
+# to a = sqrt(|D|/3), about 2*|D| bytes, for imaginary D, so 20 MB at this
+# cap; the sieve keeps no table of its own.  Past the cap the oracle stops
+# being a desk-scale tool; the callers in counting stay below it, and the
+# table's 16-bit entries could not go past a = 32767 (D about 10^9) at all.
 PRACTICAL_DISCRIMINANT_CAP = 10_000_000
 
 
@@ -101,12 +103,40 @@ def _small_form_count(D: int) -> int:
     return count
 
 
+def _small_form_counts(D0: int, step: int, n: int) -> array:
+    """The array("I") of _small_form_count(D0 + j*step) for j < n, where
+    step != 0 and D0 is 0 or of the sign of step, so |D| grows with j.
+
+    Each a adds size_a(D mod 4a), the size of a root class, to each D with
+    4a^2 <= |D|: one period of size_a along the progression, 4a/gcd(step, 4a)
+    long, repeated from the first such D and zero before it.  The rows add
+    up as native-order 32-bit fields of one int.  No carry crosses a field,
+    which sums at most 2a over a <= A: A(A + 1) < 2^32 for the table's A <= 32767.
+    """
+    a_max = math.isqrt(abs(D0 + (n - 1) * step)) // 2 if n else 0
+    offsets, _ = _root_table(a_max)
+    total = 0
+    for a in range(1, a_max + 1):
+        modulus = 4 * a
+        first = max(0, -((abs(D0) - a * modulus) // abs(step)))
+        t = (step + 2 * a) % modulus - 2 * a  # step mod 4a, least in absolute value
+        period = modulus // math.gcd(t, modulus)
+        # one period, a strided slice of the repeated table, backwards if t < 0
+        reps = (period - 1) * abs(t) // modulus + 2
+        start = (D0 + first * step) % modulus + (0 if t >= 0 else (reps - 1) * modulus)
+        offs = offsets[a]
+        highs, lows = ((x * reps)[start :: t or 1][:period] for x in (offs[1:], offs[:-1]))
+        row = array("I", map(sub, highs, lows)).tobytes() * ((n - first) // period + 1)
+        total += int.from_bytes(bytes(4 * first) + row[: 4 * (n - first)], sys.byteorder)
+    return array("I", total.to_bytes(4 * n, sys.byteorder))
+
+
 # ---------------------------------------------------------------------------
 # Imaginary side: exact count of reduced positive-definite forms.
 # ---------------------------------------------------------------------------
 
 
-def class_number_imaginary(D: int) -> int:
+def class_number_imaginary(D: int, small: int | None = None) -> int:
     """Class number of the imaginary quadratic field of discriminant D < 0.
 
     Counts reduced positive-definite forms (a, b, c): |b| <= a <= c with
@@ -117,13 +147,14 @@ def class_number_imaginary(D: int) -> int:
     without reading it; only the a in (sqrt(|D|)/2, sqrt(|D|/3)] walk their
     roots.  That is about sqrt(|D|/3) table lookups per call; the table
     itself costs O(|D|/3) to build once, shared by every later call with a
-    smaller |D|.
+    smaller |D|.  A sweep passes the count of the forms with 4a^2 <= |D|
+    as `small`, from _small_form_counts.
     """
     _require_fundamental(D, -1)
     n = -D
     a_max = math.isqrt(n // 3)
     offsets, roots = _root_table(a_max)
-    count = _small_form_count(D)
+    count = _small_form_count(D) if small is None else small
     for a in range(math.isqrt(n) // 2 + 1, a_max + 1):
         offs = offsets[a]
         k = D % (4 * a)
@@ -158,7 +189,7 @@ def class_number_imaginary(D: int) -> int:
 # has one representative in (s - 2a, s], and it is reduced.
 
 
-def class_number_real_narrow(D: int) -> int:
+def class_number_real_narrow(D: int, small: int | None = None) -> int:
     """Narrow class number h+ of the real quadratic field of discriminant D.
 
     Equals the number of rho-cycles of the reduced indefinite forms of
@@ -170,12 +201,13 @@ def class_number_real_narrow(D: int) -> int:
     with a > 0; if the first is not in Z, N(Z) is a second cycle and its
     forms are marked as seen.  The count stops once its cycles hold every
     counted form.  A walk that does not close within s*s steps, or cycles
-    that do not cover the counted forms, raise ArithmeticError.
+    that do not cover the counted forms, raise ArithmeticError.  A sweep
+    passes that count as `small`; a wrong one gives a wrong h+.
     """
     _require_fundamental(D, 1)
     s = math.isqrt(D)
     half = s // 2
-    small = _small_form_count(D)
+    small = _small_form_count(D) if small is None else small
     offsets, roots = _root_table(half)
     width = s + 1  # a form (a, b) with a > 0 has the key a * width + b, 0 < b <= s
     small_end = (half + 1) * width  # the keys of the forms with 2a <= s lie below
@@ -218,11 +250,11 @@ def class_number_real_narrow(D: int) -> int:
     raise ArithmeticError(f"reduction cycles do not cover the {small} small forms of D={D}")
 
 
-def three_divides_real_class_number(d: int) -> bool:
+def three_divides_real_class_number(d: int, small: int | None = None) -> bool:
     """Whether 3 divides the class number of Q(sqrt(d)), d squarefree >= 2.
 
     Goes through the narrow class number of the field's discriminant; h+ is
     h or 2h, so the odd parts coincide and 3|h iff 3|h+.  Any other d
-    raises ValueError.
+    raises ValueError.  `small` goes to the oracle.
     """
-    return class_number_real_narrow(field_discriminant(d)) % 3 == 0
+    return class_number_real_narrow(field_discriminant(d), small) % 3 == 0

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .classnum import (
     PRACTICAL_DISCRIMINANT_CAP,
+    _small_form_counts,
     class_number_imaginary,
     class_number_real_narrow,
     field_discriminant,
@@ -120,11 +121,22 @@ def parallel_map(fn: Callable[[int, int], list], lo: int, hi: int, workers: int)
         return list(chain.from_iterable(pool.map(fn, *zip(*chunks))))
 
 
+def _small_counts(lo: int, hi: int, period: int, disc: Callable[[int], int]) -> list[int]:
+    """The small-form counts of disc(d) for d in [lo, hi], indexed by d - lo, sieved
+    once per class of d mod `period`; on each class disc is linear and of one sign."""
+    counts = [0] * (hi - lo + 1)
+    for i in range(min(period, len(counts))):
+        D0, D1 = disc(lo + i), disc(lo + i + period)
+        counts[i::period] = _small_form_counts(D0, D1 - D0, len(counts[i::period]))
+    return counts
+
+
 def _truth_chunk(lo: int, hi: int) -> list[int]:
     """Squarefree d in [lo, hi] whose real class number is divisible by 3."""
+    small = _small_counts(lo, hi, 4, field_discriminant)
     hits = []
     for d in range(lo, hi + 1):
-        if squarefree_decompose(d)[0] == 1 and three_divides_real_class_number(d):
+        if squarefree_decompose(d)[0] == 1 and three_divides_real_class_number(d, small[d - lo]):
             hits.append(d)
     return hits
 
@@ -159,20 +171,25 @@ def fit_slope(series: CountSeries, window: tuple[int, int]) -> SlopeReport:
     return SlopeReport(slope, intercept, residual_max, (used[0][0], used[-1][0]))
 
 
-def _imaginary_kernel(d: int) -> int:
-    """Squarefree kernel of -3d for squarefree d: -d/3 when 3 | d, else -3d."""
-    return -(d // 3) if d % 3 == 0 else -3 * d
+def _imaginary_discriminant(d: int) -> int:
+    """Discriminant of Q(sqrt(-3d)) for squarefree d, whose squarefree
+    kernel is -d/3 when 3 | d, else -3d; linear on each class of d mod 12."""
+    return field_discriminant(-(d // 3) if d % 3 == 0 else -3 * d)
 
 
 def _scholz_chunk(lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The counterexample rows (d, h_real, h_imag) of the squarefree d in
+    [lo, hi]; the real oracle runs only where 3 divides h_imag."""
+    imag_small = _small_counts(lo, hi, 12, _imaginary_discriminant)
+    real_small = _small_counts(lo, hi, 4, field_discriminant)
     hits = []
     for d in range(lo, hi + 1):
         if squarefree_decompose(d)[0] != 1:
             continue
-        h_imag = class_number_imaginary(field_discriminant(_imaginary_kernel(d)))
+        h_imag = class_number_imaginary(_imaginary_discriminant(d), imag_small[d - lo])
         if h_imag % 3:
             continue
-        h_real = class_number_real_narrow(field_discriminant(d))
+        h_real = class_number_real_narrow(field_discriminant(d), real_small[d - lo])
         if h_real % 3:
             hits.append((d, h_real, h_imag))
     return hits

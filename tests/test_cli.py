@@ -4,6 +4,7 @@ Commands are driven through main(argv) for speed; one test goes through a
 real subprocess to cover the module entry point.
 """
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -323,7 +324,7 @@ class TestFalsifyScholz:
         assert (tmp_path / "counterexamples.csv").read_bytes() == first
 
     def test_arithmetic_fault_exits_1(self, tmp_path, capsys, monkeypatch):
-        def fault(D):
+        def fault(D, small=None):
             raise ArithmeticError(f"injected at D={D}")
 
         monkeypatch.setattr(counting, "class_number_real_narrow", fault)
@@ -332,6 +333,18 @@ class TestFalsifyScholz:
         assert code == EXIT_ARITHMETIC
         assert "arithmetic fault: injected at D=" in captured.err
         assert "elapsed" not in captured.out  # a raising command prints no clock line
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bench_bound_pinned(self, tmp_path, workers):
+        # the benchmark's falsify stage; two workers split the range mid-class
+        argv = ["falsify-scholz", "--scholz-bound", "20000", "--workers", workers]
+        assert run(*argv, "--out", str(tmp_path)) == EXIT_OK
+        data = (tmp_path / "counterexamples.csv").read_bytes()
+        rows = data.decode().splitlines()[1:]
+        assert len(rows) == 3256 and "29,1,6" in rows and "69,2,3" in rows
+        assert hashlib.sha256(data).hexdigest() == (
+            "9970a63a671530b114f990c46ee4217590c47ba88d8867698db9de991deb4676"
+        )
 
     def test_range_violation(self, tmp_path):
         assert run("falsify-scholz", "--scholz-bound", "999999999", "--out", str(tmp_path)) == EXIT_CONFIG

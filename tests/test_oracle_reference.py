@@ -7,6 +7,7 @@ fundamental discriminant with |D| <= 10^4 checks the enumeration by
 leading coefficient.  The property tests cover both oracles on random
 discriminants up to the benchmark's range, the table itself, the
 closure of rho-cycles and the two cycle facts the real oracle starts from.
+The sweeps' sieved small-form counts are checked against the one-off count.
 """
 
 import math
@@ -17,10 +18,13 @@ from hypothesis import strategies as st
 from ccsieve.classnum import (
     _root_table,
     _small_form_count,
+    _small_form_counts,
     class_number_imaginary,
     class_number_real_narrow,
+    field_discriminant,
     is_fundamental_discriminant,
 )
+from ccsieve.counting import _chunks, _imaginary_discriminant, _small_counts
 from reference import (
     QuadraticForm,
     fundamental_range,
@@ -145,6 +149,35 @@ class TestRandomDiscriminants:
     @given(fundamental_discriminants(-BENCH_RANGE, -3))
     def test_imaginary(self, D):
         assert class_number_imaginary(D) == reference_class_number_imaginary(D)
+
+
+class TestSmallFormSieve:
+    """The sieved small-form counts against the one-off count they replace
+    in the sweeps.  A count that is too small makes the real oracle stop
+    before its walk has covered every cycle, so these must agree exactly."""
+
+    def test_every_sweep_progression_to_2e4(self):
+        # the chunks of 1 to 4 workers start on several residues of d mod 12
+        for period, disc in ((4, field_discriminant), (12, _imaginary_discriminant)):
+            expected = [0, 0] + [_small_form_count(disc(d)) for d in range(2, 20_001)]
+            for workers in range(1, 5):
+                for lo, hi in _chunks(2, 20_000, workers):
+                    assert _small_counts(lo, hi, period, disc) == expected[lo : hi + 1]
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from((1, -1)),
+        st.integers(min_value=0, max_value=BENCH_RANGE),
+        st.integers(min_value=1, max_value=5_000),
+        st.integers(min_value=0, max_value=60),
+    )
+    @example(1, 0, 1, 0)
+    @example(-1, 3, 4, 1)
+    @example(1, 2, 1, 40)
+    @example(-1, 1, 1, 40)
+    def test_random_progressions(self, sign, D0, step, n):
+        expected = [_small_form_count(sign * (D0 + j * step)) for j in range(n)]
+        assert list(_small_form_counts(sign * D0, sign * step, n)) == expected
 
 
 class TestSquareRootTable:

@@ -22,8 +22,9 @@ from .intmath import is_squarefree
 # counting sieve these counts over a progression of D (_small_form_counts,
 # a few C-level passes per a); a one-off call makes one table lookup per
 # a <= sqrt(|D|)/2.  The imaginary oracle then reads the roots of
-# sqrt(|D|)/2 < a <= sqrt(|D|/3); the real one takes O(sqrt(D) log D)
-# double reduction steps on average.  The shared table is grown once to
+# sqrt(|D|)/2 < a <= sqrt(|D|/3); the real one walks one rho-cycle for each
+# cycle and its images, up to its second mirror point if it has one, in
+# O(sqrt(D) log D) reduction steps on average.  The shared table is grown once to
 # the largest |D| seen: to a = sqrt(D)/2, about 1.5*D bytes, for real D and
 # to a = sqrt(|D|/3), about 2*|D| bytes, for imaginary D, so 20 MB at this
 # cap; the sieve keeps no table of its own.  Past the cap the oracle stops
@@ -176,33 +177,44 @@ def class_number_imaginary(D: int, small: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 # Reduced indefinite forms (a, b, c) of discriminant D, s = isqrt(D), have
-# 0 < b <= s and s - b < 2|a| <= s + b.  Two facts let the walk start from
-# the forms with a > 0 and 2a <= s alone:
-# 1. Every rho-cycle holds a form with 2|a| <= s.  Consecutive forms
-#    (a_i, b_i, a_{i+1}) satisfy |a_i * a_{i+1}| = (D - b_i^2)/4 < D/4,
-#    so one of them has 2|a| < sqrt(D), that is 2|a| <= s.
-# 2. N(a, b, c) = (-a, b, -c) maps reduced forms to reduced forms and
-#    commutes with rho, so it permutes the cycles: reducedness and the
-#    window of rho's middle coefficient depend on |a| and |c| only.
-# So a cycle whose small forms all have a < 0 is the N-image of one with a
-# small form of a > 0.  For 2a <= s each root class of b^2 == D (mod 4a)
-# has one representative in (s - 2a, s], and it is reduced.
+# 0 < b <= s, s - b < 2|a| <= s + b and ac < 0.  N(a, b, c) = (-a, b, -c)
+# and the mirror sigma(a, b, c) = (c, b, a) keep them reduced; N commutes
+# with rho, and sigma rho sigma = rho^-1.  The walk runs rho on the unsigned
+# forms (|a|, b, |c|), where it is one formula and N acts trivially:
+# 1. Every rho-cycle holds a form with 2|a| <= s, since consecutive forms
+#    (a_i, b_i, a_{i+1}) have |a_i * a_{i+1}| = (D - b_i^2)/4 < D/4.  So
+#    each cycle Z, or N(Z), holds a form with 0 < 2a <= s, and for 2a <= s
+#    each root class of b^2 == D (mod 4a) has one representative in
+#    (s - 2a, s], and it is reduced.
+# 2. The keys (|a|, b) and (|c|, b) of the forms of Z are the positive
+#    forms of Z, N(Z), sigma(Z) and N sigma(Z).
+# 3. sigma reverses the unsigned cycle of Z or maps it to another.  If it
+#    reverses it, the cycle holds two mirror points, half a cycle apart:
+#    steps that keep b (onto an ambiguous form, a | b) and forms with
+#    |a| = |c|.  The mirror images of the forms between them are the rest.
+# 4. N multiplies the classes by one narrow class, so it fixes every cycle
+#    or none.  The walk over the principal cycle starts on a mirror point,
+#    (1, b, c); N fixes that cycle iff its unsigned cycle has odd length,
+#    that is iff its second mirror point has |a| = |c|.
+# So a walk covers 1 cycle if N fixes Z and it stopped, 2 if one of these
+# holds, and 4 if neither does.
 
 
 def class_number_real_narrow(D: int, small: int | None = None) -> int:
     """Narrow class number h+ of the real quadratic field of discriminant D.
 
     Equals the number of rho-cycles of the reduced indefinite forms of
-    discriminant D.  A cycle of length 2L holds L forms with a > 0, one
-    orbit of the double step rho^2, and is walked over those.  The forms
-    with a > 0 and 2a <= s = isqrt(D) are counted first, in about s/2
-    table lookups; the walks start from them in ascending a.  Each middle
-    form (c, r, a') of a walk over a cycle Z negates to a form of N(Z)
-    with a > 0; if the first is not in Z, N(Z) is a second cycle and its
-    forms are marked as seen.  The count stops once its cycles hold every
-    counted form.  A walk that does not close within s*s steps, or cycles
-    that do not cover the counted forms, raise ArithmeticError.  A sweep
-    passes that count as `small`; a wrong one gives a wrong h+.
+    discriminant D.  The forms with a > 0 and 2a <= s = isqrt(D) are
+    counted first, in about s/2 table lookups.  Walks start from the ones
+    not yet seen, in ascending a, the first on the principal cycle.  Each
+    runs rho on the unsigned forms (|a|, b, |c|), marks the small keys
+    (|a|, b) and (|c|, b) of each form as seen, and ends at its second
+    mirror point or where it closes: it counts 1 or 2 cycles if it stopped
+    and 2 or 4 if it closed, the smaller if N fixes the principal cycle.
+    The count stops once every counted form is seen.  A walk that does not
+    close within s*s steps, or walks that leave a counted form unseen,
+    raise ArithmeticError.  A sweep passes that count as `small`; a wrong
+    one gives a wrong h+.
     """
     _require_fundamental(D, 1)
     s = math.isqrt(D)
@@ -210,42 +222,41 @@ def class_number_real_narrow(D: int, small: int | None = None) -> int:
     small = _small_form_count(D) if small is None else small
     offsets, roots = _root_table(half)
     width = s + 1  # a form (a, b) with a > 0 has the key a * width + b, 0 < b <= s
-    small_end = (half + 1) * width  # the keys of the forms with 2a <= s lie below
-    seen: set[int] = set()
-    covered = 0
-    cycles = 0
+    seen: set[int] = set()  # the keys with 2a <= s
+    cycles = unit = 0
     for a0 in range(1, half + 1):
         offs = offsets[a0]
         k = D % (4 * a0)
         for r0 in roots[a0][offs[k] : offs[k + 1]]:
-            b = s - (s - r0) % (2 * a0)
-            start = key = a0 * width + b
-            if start in seen:
+            b0 = b = s - (s - r0) % (2 * a0)
+            if a0 * width + b in seen:
                 continue
-            a = a0
-            image: list[int] = []
-            for _ in range(s * s):  # forms with a > 0 have 1 <= a, b <= s
-                seen.add(key)
+            a, c = a0, (D - b * b) // (4 * a0)
+            seen.add(a0 * width + b)
+            if c <= half:
+                seen.add(c * width + b)
+            points = (b % a == 0) + (a == c)  # both only on (1, b, 1), whose step ends the walk
+            for _ in range(s * s):  # unsigned forms have 1 <= a, b <= s
+                # (a, b, c) -> (c, r, (D - r^2)/4c), unsigned
+                r = s - (s + b) % (2 * c)
+                a, c = c, (D - r * r) // (4 * c)
                 if a <= half:
-                    covered += 1
-                # two steps: (a, b, c) -> (c, r, a1) -> (a1, b1, c1), with c < 0 < a1
-                c = (b * b - D) // (4 * a)
-                r = s - (s + b) % (-2 * c)
-                image.append(r - c * width)
-                a = (r * r - D) // (4 * c)
-                b = s - (s + r) % (2 * a)
-                key = a * width + b
-                if key == start:
+                    seen.add(a * width + r)
+                if c <= half:
+                    seen.add(c * width + r)
+                if r == b or a == c:
+                    points += 1
+                    if points >= 2:
+                        break
+                b = r
+                if b == b0 and a == a0:
                     break
             else:
                 raise ArithmeticError(f"reduction cycle failed to close for D={D}")
-            cycles += 1
-            # N(Z) is no earlier cycle, or Z would have been seen as its image
-            if image[0] not in seen:
-                seen.update(image)
-                covered += sum(1 for n in image if n < small_end)
-                cycles += 1
-            if covered == small:
+            if not cycles:
+                unit = 1 if a == c else 2  # the cycles in {Z, N(Z)}: 1 iff N fixes Z
+            cycles += unit if points else 2 * unit
+            if len(seen) == small:
                 return cycles
     raise ArithmeticError(f"reduction cycles do not cover the {small} small forms of D={D}")
 

@@ -123,11 +123,13 @@ def parallel_map(fn: Callable[[int, int], list], lo: int, hi: int, workers: int)
 
 def _small_counts(lo: int, hi: int, period: int, disc: Callable[[int], int]) -> list[int]:
     """The small-form counts of disc(d) for d in [lo, hi], indexed by d - lo, sieved
-    once per class of d mod `period`; on each class disc is linear and of one sign."""
+    once per class of d mod `period`, a multiple of 4; on each class disc is linear
+    and of one sign.  The classes of d = 0 (mod 4), never squarefree, are left 0."""
     counts = [0] * (hi - lo + 1)
     for i in range(min(period, len(counts))):
-        D0, D1 = disc(lo + i), disc(lo + i + period)
-        counts[i::period] = _small_form_counts(D0, D1 - D0, len(counts[i::period]))
+        if (lo + i) % 4:
+            D0, D1 = disc(lo + i), disc(lo + i + period)
+            counts[i::period] = _small_form_counts(D0, D1 - D0, len(counts[i::period]))
     return counts
 
 

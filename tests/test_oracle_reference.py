@@ -6,7 +6,7 @@ share no code with the square-root table, so agreement on every
 fundamental discriminant with |D| <= 10^4 checks the enumeration by
 leading coefficient.  The property tests cover both oracles on random
 discriminants up to the benchmark's range, the table itself, the
-closure of rho-cycles and the two cycle facts the real oracle starts from.
+closure of rho-cycles and the cycle facts the real oracle's walk relies on.
 The sweeps' sieved small-form counts are checked against the one-off count.
 """
 
@@ -113,6 +113,11 @@ def _negate(form: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(-form.a, form.b, -form.c)
 
 
+def _mirror(form: QuadraticForm) -> QuadraticForm:
+    """sigma(a, b, c) = (c, b, a)."""
+    return QuadraticForm(form.c, form.b, form.a)
+
+
 class TestAgainstTrialDivision:
     def test_real_forms_and_cycles(self):
         for D in fundamental_range(5, REFERENCE_RANGE):
@@ -129,8 +134,9 @@ class TestRandomDiscriminants:
     """Both oracles against the trial-division references on random
     fundamental D up to the benchmark's range, well past REFERENCE_RANGE:
     most D with h+ >= 8, whose walk needs several cycles before it has
-    covered the counted forms, lie above 10^4.  The examples are the five
-    largest h+ in [2*10^5, 2.4*10^5]."""
+    covered the counted forms, lie above 10^4.  The first examples are the
+    five largest h+ in [2*10^5, 2.4*10^5]; the last four end their walks
+    in each of the ways the oracle knows, h+ in brackets."""
 
     @settings(deadline=None)
     @given(fundamental_discriminants(5, BENCH_RANGE))
@@ -139,6 +145,10 @@ class TestRandomDiscriminants:
     @example(224_044)  # h+ = 140
     @example(234_745)  # h+ = 136
     @example(212_137)  # h+ = 134
+    @example(85)  # (2) N fixes the cycles; a walk stops on a form with |a| = |c|
+    @example(136)  # (4) N moves the cycles; a walk stops on two forms with a = -c
+    @example(145)  # (4) N fixes the cycles; a walk closes and counts 2
+    @example(316)  # (6) N moves the cycles; one closed walk counts 4
     def test_real(self, D):
         forms = sorted(QuadraticForm(*t) for t in reference_reduced_triples(D))
         s = math.isqrt(D)
@@ -157,9 +167,12 @@ class TestSmallFormSieve:
     before its walk has covered every cycle, so these must agree exactly."""
 
     def test_every_sweep_progression_to_2e4(self):
-        # the chunks of 1 to 4 workers start on several residues of d mod 12
+        # the chunks of 1 to 4 workers start on several residues of d mod 12;
+        # the d = 0 (mod 4), never squarefree, are not sieved and read 0
         for period, disc in ((4, field_discriminant), (12, _imaginary_discriminant)):
-            expected = [0, 0] + [_small_form_count(disc(d)) for d in range(2, 20_001)]
+            expected = [0, 0] + [
+                _small_form_count(disc(d)) if d % 4 else 0 for d in range(2, 20_001)
+            ]
             for workers in range(1, 5):
                 for lo, hi in _chunks(2, 20_000, workers):
                     assert _small_counts(lo, hi, period, disc) == expected[lo : hi + 1]
@@ -206,10 +219,12 @@ class TestRhoCycleClosure:
 
 
 class TestCycleFacts:
-    """The two facts behind the real oracle's starts, up to the benchmark's
-    range: every rho-cycle holds a form with 2|a| <= isqrt(D), and
-    N(a, b, c) = (-a, b, -c) maps reduced forms to reduced forms and
-    commutes with rho."""
+    """The facts behind the real oracle's starts and stops, up to the
+    benchmark's range: every rho-cycle holds a form with 2|a| <= isqrt(D);
+    N(a, b, c) = (-a, b, -c) and the mirror sigma(a, b, c) = (c, b, a) map
+    reduced forms to reduced forms, N commutes with rho and sigma reverses
+    it; N fixes every cycle or none; and a cycle that sigma or N sigma fixes
+    holds exactly two mirror points, half a cycle apart."""
 
     @settings(deadline=None)
     @given(fundamental_discriminants(5, BENCH_RANGE))
@@ -224,3 +239,36 @@ class TestCycleFacts:
         for f in reduced_indefinite_forms(D):
             assert is_reduced_indefinite(_negate(f), D)
             assert rho(_negate(f), D) == _negate(rho(f, D))
+
+    @settings(deadline=None)
+    @given(fundamental_discriminants(5, BENCH_RANGE))
+    def test_mirror_reverses_rho(self, D):
+        for f in reduced_indefinite_forms(D):
+            assert is_reduced_indefinite(_mirror(f), D)
+            assert rho(_mirror(rho(f, D)), D) == _mirror(f)
+
+    @settings(deadline=None)
+    @given(fundamental_discriminants(5, BENCH_RANGE))
+    @example(5)  # the principal cycle is (1, 1, -1), (-1, 1, 1)
+    @example(12)  # h+ = 2: N moves the principal cycle
+    def test_negation_fixes_every_cycle_or_none(self, D):
+        cycles = [set(cycle) for cycle in _rho_cycles(reduced_indefinite_forms(D), D)]
+        fixed = {_negate(next(iter(cycle))) in cycle for cycle in cycles}
+        principal = next(cycle for cycle in cycles if any(f.a == 1 for f in cycle))
+        assert fixed == {any(f.a == -1 for f in principal)}
+
+    @settings(deadline=None)
+    @given(fundamental_discriminants(5, BENCH_RANGE))
+    @example(85)  # N fixes the cycles: sigma and N sigma fix the same ones
+    @example(136)  # N sigma fixes the cycle of (3, 8, -6)
+    def test_mirror_points_lie_half_a_cycle_apart(self, D):
+        for cycle in _rho_cycles(reduced_indefinite_forms(D), D):
+            n = len(cycle)
+            steps = [i for i in range(n) if cycle[(i + 1) % n].b == cycle[i].b]
+            assert all(cycle[(i + 1) % n] == _mirror(cycle[i]) for i in steps)
+            opposite = [i for i, f in enumerate(cycle) if f.a == -f.c]
+            for points, mirror in ((steps, _mirror), (opposite, lambda f: _negate(_mirror(f)))):
+                if mirror(cycle[0]) in cycle:
+                    assert len(points) == 2 and points[1] - points[0] == n // 2, (D, cycle)
+                else:
+                    assert not points, (D, cycle)

@@ -13,23 +13,24 @@ import math
 import sys
 from array import array
 from itertools import accumulate
-from operator import sub
+from typing import Callable
 
 from .intmath import is_squarefree
 
 # Both oracles start from the number of reduced forms with 4a^2 <= |D|,
-# counting each root class of b^2 == D (mod 4a) by its size.  The sweeps in
-# counting sieve these counts over a progression of D (_small_form_counts,
-# a few C-level passes per a); a one-off call makes one table lookup per
-# a <= sqrt(|D|)/2.  The imaginary oracle then reads the roots of
-# sqrt(|D|)/2 < a <= sqrt(|D|/3); the real one walks one rho-cycle for each
-# cycle and its images, up to its second mirror point if it has one, in
-# O(sqrt(D) log D) reduction steps on average.  The shared table is grown once to
-# the largest |D| seen: to a = sqrt(D)/2, about 1.5*D bytes, for real D and
-# to a = sqrt(|D|/3), about 2*|D| bytes, for imaginary D, so 20 MB at this
-# cap; the sieve keeps no table of its own.  Past the cap the oracle stops
-# being a desk-scale tool; the callers in counting stay below it, and the
-# table's 16-bit entries could not go past a = 32767 (D about 10^9) at all.
+# counting each root class of b^2 == D (mod 4a) by its size.  A one-off call
+# makes one table lookup per a <= sqrt(|D|)/2; small_form_counts sieves these
+# counts for a range of d, one period row per a and class of d, and the sweeps
+# in counting pass each count to its oracle call.  The imaginary oracle then
+# reads the roots of sqrt(|D|)/2 < a <= sqrt(|D|/3); the real one walks one
+# rho-cycle for each cycle and its images, up to its second mirror point if it
+# has one, in O(sqrt(D) log D) reduction steps on average.  The shared table
+# is grown once to the largest |D| seen: to a = sqrt(D)/2, about 1.5*D bytes,
+# for real D and to a = sqrt(|D|/3), about 2*|D| bytes, for imaginary D, so
+# 20 MB at this cap; the sieve keeps no table of its own.  Past the cap the
+# oracle stops being a desk-scale tool; the callers in counting stay below it,
+# and the table's 16-bit entries could not go past a = 32767 (D about 10^9)
+# at all.
 PRACTICAL_DISCRIMINANT_CAP = 10_000_000
 
 
@@ -104,32 +105,40 @@ def _small_form_count(D: int) -> int:
     return count
 
 
-def _small_form_counts(D0: int, step: int, n: int) -> array:
-    """The array("I") of _small_form_count(D0 + j*step) for j < n, where
-    step != 0 and D0 is 0 or of the sign of step, so |D| grows with j.
+def small_form_counts(lo: int, hi: int, period: int, disc: Callable[[int], int]) -> list[int]:
+    """_small_form_count(disc(d)) for d in [lo, hi], indexed by d - lo, and 0
+    for d = 0 (mod 4), which is never squarefree.  `period` is a multiple of 4
+    such that on each class of d mod period, disc is linear and of one sign.
 
+    Along a class, D runs over a progression D0 + j*step with |D| growing.
     Each a adds size_a(D mod 4a), the size of a root class, to each D with
-    4a^2 <= |D|: one period of size_a along the progression, 4a/gcd(step, 4a)
-    long, repeated from the first such D and zero before it.  The rows add
-    up as native-order 32-bit fields of one int.  No carry crosses a field,
-    which sums at most 2a over a <= A: A(A + 1) < 2^32 for the table's A <= 32767.
+    4a^2 <= |D|: one period of size_a, 4a/gcd(step, 4a) long, repeated from
+    the first such D and zero before it.  The rows add up as native-order
+    32-bit fields of one int.  No carry crosses a field, which sums at most
+    2a over a <= A: A(A + 1) < 2^32 for the table's A <= 32767.
     """
-    a_max = math.isqrt(abs(D0 + (n - 1) * step)) // 2 if n else 0
-    offsets, _ = _root_table(a_max)
-    total = 0
-    for a in range(1, a_max + 1):
-        modulus = 4 * a
-        first = max(0, -((abs(D0) - a * modulus) // abs(step)))
-        t = (step + 2 * a) % modulus - 2 * a  # step mod 4a, least in absolute value
-        period = modulus // math.gcd(t, modulus)
-        # one period, a strided slice of the repeated table, backwards if t < 0
-        reps = (period - 1) * abs(t) // modulus + 2
-        start = (D0 + first * step) % modulus + (0 if t >= 0 else (reps - 1) * modulus)
-        offs = offsets[a]
-        highs, lows = ((x * reps)[start :: t or 1][:period] for x in (offs[1:], offs[:-1]))
-        row = array("I", map(sub, highs, lows)).tobytes() * ((n - first) // period + 1)
-        total += int.from_bytes(bytes(4 * first) + row[: 4 * (n - first)], sys.byteorder)
-    return array("I", total.to_bytes(4 * n, sys.byteorder))
+    counts = [0] * (hi - lo + 1)
+    for i in range(min(period, len(counts))):
+        if (lo + i) % 4 == 0:
+            continue
+        D0 = disc(lo + i)
+        step = disc(lo + i + period) - D0
+        n = len(range(i, len(counts), period))
+        a_max = math.isqrt(abs(D0 + (n - 1) * step)) // 2
+        offsets, _ = _root_table(a_max)
+        total = 0
+        for a in range(1, a_max + 1):
+            modulus = 4 * a
+            first = max(0, -((abs(D0) - a * modulus) // abs(step)))
+            size = min(modulus // math.gcd(step, modulus), n - first)
+            D = D0 + first * step
+            offs = offsets[a]
+            keys = (x % modulus for x in range(D, D + size * step, step))
+            row = array("I", [offs[k + 1] - offs[k] for k in keys]).tobytes()
+            row *= (n - first) // size + 1
+            total += int.from_bytes(bytes(4 * first) + row[: 4 * (n - first)], sys.byteorder)
+        counts[i::period] = array("I", total.to_bytes(4 * n, sys.byteorder))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +158,7 @@ def class_number_imaginary(D: int, small: int | None = None) -> int:
     roots.  That is about sqrt(|D|/3) table lookups per call; the table
     itself costs O(|D|/3) to build once, shared by every later call with a
     smaller |D|.  A sweep passes the count of the forms with 4a^2 <= |D|
-    as `small`, from _small_form_counts.
+    as `small`, from small_form_counts.
     """
     _require_fundamental(D, -1)
     n = -D
@@ -213,8 +222,8 @@ def class_number_real_narrow(D: int, small: int | None = None) -> int:
     and 2 or 4 if it closed, the smaller if N fixes the principal cycle.
     The count stops once every counted form is seen.  A walk that does not
     close within s*s steps, or walks that leave a counted form unseen,
-    raise ArithmeticError.  A sweep passes that count as `small`; a wrong
-    one gives a wrong h+.
+    raise ArithmeticError.  A sweep passes that count as `small`, from
+    small_form_counts; a wrong one gives a wrong h+.
     """
     _require_fundamental(D, 1)
     s = math.isqrt(D)

@@ -23,10 +23,10 @@ from typing import Callable, Iterable, Sequence
 
 from .classnum import (
     PRACTICAL_DISCRIMINANT_CAP,
-    _small_form_counts,
     class_number_imaginary,
     class_number_real_narrow,
     field_discriminant,
+    small_form_counts,
     three_divides_real_class_number,
 )
 from .honda import ConfigurationError, EnumConfig, enumerate_discriminants, write_csv
@@ -121,21 +121,9 @@ def parallel_map(fn: Callable[[int, int], list], lo: int, hi: int, workers: int)
         return list(chain.from_iterable(pool.map(fn, *zip(*chunks))))
 
 
-def _small_counts(lo: int, hi: int, period: int, disc: Callable[[int], int]) -> list[int]:
-    """The small-form counts of disc(d) for d in [lo, hi], indexed by d - lo, sieved
-    once per class of d mod `period`, a multiple of 4; on each class disc is linear
-    and of one sign.  The classes of d = 0 (mod 4), never squarefree, are left 0."""
-    counts = [0] * (hi - lo + 1)
-    for i in range(min(period, len(counts))):
-        if (lo + i) % 4:
-            D0, D1 = disc(lo + i), disc(lo + i + period)
-            counts[i::period] = _small_form_counts(D0, D1 - D0, len(counts[i::period]))
-    return counts
-
-
 def _truth_chunk(lo: int, hi: int) -> list[int]:
     """Squarefree d in [lo, hi] whose real class number is divisible by 3."""
-    small = _small_counts(lo, hi, 4, field_discriminant)
+    small = small_form_counts(lo, hi, 4, field_discriminant)
     hits = []
     for d in range(lo, hi + 1):
         if squarefree_decompose(d)[0] == 1 and three_divides_real_class_number(d, small[d - lo]):
@@ -182,8 +170,8 @@ def _imaginary_discriminant(d: int) -> int:
 def _scholz_chunk(lo: int, hi: int) -> list[tuple[int, int, int]]:
     """The counterexample rows (d, h_real, h_imag) of the squarefree d in
     [lo, hi]; the real oracle runs only where 3 divides h_imag."""
-    imag_small = _small_counts(lo, hi, 12, _imaginary_discriminant)
-    real_small = _small_counts(lo, hi, 4, field_discriminant)
+    imag_small = small_form_counts(lo, hi, 12, _imaginary_discriminant)
+    real_small = small_form_counts(lo, hi, 4, field_discriminant)
     hits = []
     for d in range(lo, hi + 1):
         if squarefree_decompose(d)[0] != 1:

@@ -12,19 +12,20 @@ The sweeps' sieved small-form counts are checked against the one-off count.
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccsieve.classnum import (
     _root_table,
     _small_form_count,
-    _small_form_counts,
     class_number_imaginary,
     class_number_real_narrow,
     field_discriminant,
     is_fundamental_discriminant,
+    small_form_counts,
 )
-from ccsieve.counting import _chunks, _imaginary_discriminant, _small_counts
+from ccsieve.counting import SCHOLZ_BOUND_CAP, TRUTH_X_CAP, _chunks, _imaginary_discriminant
 from reference import (
     QuadraticForm,
     fundamental_range,
@@ -161,36 +162,55 @@ class TestRandomDiscriminants:
         assert class_number_imaginary(D) == reference_class_number_imaginary(D)
 
 
+# the (period, disc) of the truth sweep and of the falsifier's imaginary side
+SWEEP_DISCRIMINANTS = ((4, field_discriminant), (12, _imaginary_discriminant))
+
+
+def _sieved_count(disc, d: int) -> int:
+    """What the sieve must give for d: the one-off count of disc(d), or 0
+    for d = 0 (mod 4), never squarefree, which it does not sieve."""
+    return _small_form_count(disc(d)) if d % 4 else 0
+
+
 class TestSmallFormSieve:
     """The sieved small-form counts against the one-off count they replace
     in the sweeps.  A count that is too small makes the real oracle stop
     before its walk has covered every cycle, so these must agree exactly."""
 
     def test_every_sweep_progression_to_2e4(self):
-        # the chunks of 1 to 4 workers start on several residues of d mod 12;
-        # the d = 0 (mod 4), never squarefree, are not sieved and read 0
-        for period, disc in ((4, field_discriminant), (12, _imaginary_discriminant)):
-            expected = [0, 0] + [
-                _small_form_count(disc(d)) if d % 4 else 0 for d in range(2, 20_001)
-            ]
+        # the chunks of 1 to 4 workers start on several residues of d mod 12
+        for period, disc in SWEEP_DISCRIMINANTS:
+            expected = [0, 0] + [_sieved_count(disc, d) for d in range(2, 20_001)]
             for workers in range(1, 5):
                 for lo, hi in _chunks(2, 20_000, workers):
-                    assert _small_counts(lo, hi, period, disc) == expected[lo : hi + 1]
+                    assert small_form_counts(lo, hi, period, disc) == expected[lo : hi + 1]
 
     @settings(deadline=None)
     @given(
-        st.sampled_from((1, -1)),
-        st.integers(min_value=0, max_value=BENCH_RANGE),
-        st.integers(min_value=1, max_value=5_000),
-        st.integers(min_value=0, max_value=60),
+        st.sampled_from(SWEEP_DISCRIMINANTS),
+        st.integers(min_value=2, max_value=BENCH_RANGE // 12),
+        st.integers(min_value=0, max_value=299),
     )
-    @example(1, 0, 1, 0)
-    @example(-1, 3, 4, 1)
-    @example(1, 2, 1, 40)
-    @example(-1, 1, 1, 40)
-    def test_random_progressions(self, sign, D0, step, n):
-        expected = [_small_form_count(sign * (D0 + j * step)) for j in range(n)]
-        assert list(_small_form_counts(sign * D0, sign * step, n)) == expected
+    @example(SWEEP_DISCRIMINANTS[0], 2, 0)  # one d, shorter than a period
+    @example(SWEEP_DISCRIMINANTS[1], 11, 5)  # starts and ends inside a period
+    @example(SWEEP_DISCRIMINANTS[1], 4, 40)  # starts on d = 0 (mod 4)
+    def test_random_ranges(self, sweep, lo, extra):
+        period, disc = sweep
+        hi = lo + extra
+        expected = [_sieved_count(disc, d) for d in range(lo, hi + 1)]
+        assert small_form_counts(lo, hi, period, disc) == expected
+
+    # a chunk ending at each oracle cap reaches a = 1581, the longest rows and
+    # the largest field sums the sweeps can ask for
+    @pytest.mark.parametrize(
+        "period, disc, hi",
+        [(4, field_discriminant, TRUTH_X_CAP), (12, _imaginary_discriminant, SCHOLZ_BOUND_CAP)],
+        ids=["truth", "scholz"],
+    )
+    def test_chunk_at_the_cap(self, period, disc, hi):
+        lo = hi - 1_199
+        expected = [_sieved_count(disc, d) for d in range(lo, hi + 1)]
+        assert small_form_counts(lo, hi, period, disc) == expected
 
 
 class TestSquareRootTable:

@@ -93,8 +93,8 @@ class RunConfig:
     )
 
     def enum_config(self) -> EnumConfig:
-        x_cap = max(EnumConfig.x_cap, self.x_max)
-        return EnumConfig(x_cap=x_cap, shortcut_only=self.shortcut_only)
+        """The Honda sweep's box, capped at x_max."""
+        return EnumConfig(x_cap=self.x_max, shortcut_only=self.shortcut_only)
 
 
 def _load_config_file(path: Path) -> dict[str, str]:
@@ -135,21 +135,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, settings[key].metadata["parse"](value))
             except ValueError as exc:
                 raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
-    _validate_config(cfg, args.command)
+    _validate_config(cfg)
     return cfg
 
 
-def _validate_config(cfg: RunConfig, command: str) -> None:
+def _validate_config(cfg: RunConfig) -> None:
     if cfg.x_max < 2:
         raise ConfigurationError("x_max must be >= 2")
     if cfg.workers < 1:
         raise ConfigurationError("workers must be >= 1")
     check_checkpoints(cfg.checkpoints)
-    # checkpoints and x_max are only coupled where both drive the same sweep
-    if command == "count" and cfg.checkpoints[-1] > cfg.x_max:
-        raise ConfigurationError(
-            f"checkpoint {cfg.checkpoints[-1]} exceeds x_max={cfg.x_max}"
-        )
     if not 2 <= cfg.truth_x_max <= TRUTH_X_CAP:
         raise ConfigurationError(f"truth_x_max must lie in [2, {TRUTH_X_CAP}]")
     if not 2 <= cfg.scholz_bound <= SCHOLZ_BOUND_CAP:

@@ -23,21 +23,23 @@ trial-divided.  One list of the primes with p^3 <= 4*m_max^3, built
 once per sweep and never at import, gives the square-root tables and
 the primes dividing each m.  The sweep runs in this process.
 
-The package's one CSV row writer and reader (`write_csv`, `read_csv`)
-live here.
+The package's one CSV writer, `write_csv`, and the witness reader, which
+accepts exactly the lines `write_csv` writes, live here.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 from typing import Iterable
 
 from .intmath import cubic_has_integer_root, icbrt, is_squarefree, primes_upto
+
+_WITNESS_HEADER = "d,m,n,u"
+
 
 class ConfigurationError(ValueError):
     """A run configuration that must be rejected before any sweep starts."""
@@ -238,6 +240,11 @@ def enumerate_discriminants(
     return sorted(found.values())  # d is unique, so this is d order
 
 
+def _row_template(header: str) -> str:
+    """The line template of a row under `header`: comma-joined `%s`, LF."""
+    return ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+
+
 def write_csv(path, header: str, rows: Iterable[tuple], comment: str | None = None) -> None:
     """Write an optional `# comment` line, the header and one comma-joined
     line per row tuple, UTF-8 and LF-terminated, creating the directory.
@@ -249,7 +256,7 @@ def write_csv(path, header: str, rows: Iterable[tuple], comment: str | None = No
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    line = _row_template(header)
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             if comment is not None:
@@ -265,30 +272,27 @@ def write_csv(path, header: str, rows: Iterable[tuple], comment: str | None = No
         raise
 
 
-def read_csv(path, header: str) -> list[tuple[int, ...]]:
-    """Parse a file of integer rows under `header`, exactly as `write_csv`
-    writes it without a comment: LF-terminated lines of plain decimal
-    fields (0 or -?[1-9][0-9]*).  Any other line, blank, spaced, with a CR
-    or without its LF, is malformed."""
-    row = re.compile(",".join(["(0|-?[1-9][0-9]*)"] * (header.count(",") + 1)) + "\n")
-    rows: list[tuple[int, ...]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        found = fh.readline()
-        if found != header + "\n":
-            raise ValueError(f"unexpected header {found!r}, expected {header!r}")
-        for line in fh:
-            fields = row.fullmatch(line)
-            if fields is None:
-                raise ValueError("malformed row: %r" % line.removesuffix("\n"))
-            rows.append(tuple(map(int, fields.groups())))
-    return rows
-
-
 def write_witnesses_csv(rows: Iterable[tuple[int, int, int, int]], path) -> None:
-    """Witness export: header `d,m,n,u`, one line per (d, m, n, u) row."""
-    write_csv(path, "d,m,n,u", rows)
+    """Witness export: the header, then one line per (d, m, n, u) row."""
+    write_csv(path, _WITNESS_HEADER, rows)
 
 
 def read_witnesses_csv(path) -> list[tuple[int, int, int, int]]:
-    """Parse a witness export back into (d, m, n, u) rows."""
-    return read_csv(path, "d,m,n,u")
+    """Parse a witness export back into (d, m, n, u) rows.  A line is a
+    row only if `write_csv`'s template, filled with the line's own ints,
+    gives back the line: no other spelling, line end or field count."""
+    line_of = _row_template(_WITNESS_HEADER)
+    rows: list[tuple[int, int, int, int]] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        found = fh.readline()
+        if found != _WITNESS_HEADER + "\n":
+            raise ValueError(f"unexpected header {found!r}, expected {_WITNESS_HEADER!r}")
+        for line in fh:
+            try:
+                row = tuple(map(int, line.split(",")))
+                if line_of % row != line:  # a wrong field count raises TypeError
+                    raise ValueError
+            except (ValueError, TypeError):
+                raise ValueError("malformed row: %r" % line.removesuffix("\n")) from None
+            rows.append(row)
+    return rows

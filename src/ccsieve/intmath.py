@@ -12,8 +12,10 @@ import math
 def icbrt(t: int) -> int:
     """Floor cube root of a nonnegative integer, exactly.
 
-    Integer Newton iteration from an over-estimate, then an exact fix-up;
-    no float precision enters, so arbitrarily large t is fine.
+    Integer Newton r -> (2r + t // r^2) // 3 from 2^ceil(bits/3) stops on
+    c = floor(cbrt(t)): by AM-GM every iterate is at least c; while r > c,
+    r^3 > t makes the iterates fall strictly, and at r = c, t // c^2 >= c
+    gives nr >= r.  No float enters, so arbitrarily large t is fine.
     """
     if t < 0:
         raise ValueError("icbrt requires a nonnegative integer")
@@ -25,10 +27,6 @@ def icbrt(t: int) -> int:
         if nr >= r:
             break
         r = nr
-    while r * r * r > t:
-        r -= 1
-    while (r + 1) ** 3 <= t:
-        r += 1
     return r
 
 

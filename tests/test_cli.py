@@ -22,6 +22,7 @@ from ccsieve.cli import (
     main,
 )
 from ccsieve.counting import PINNED_SLOPE_WINDOW, fit_slope, honda_count_series
+from ccsieve.honda import EnumConfig, enumerate_discriminants, read_witnesses_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -65,6 +66,13 @@ class TestEnumerate:
         full_ds = {line.split(",")[0] for line in (full / "witnesses.csv").read_text().splitlines()[1:]}
         sub_ds = {line.split(",")[0] for line in (sub / "witnesses.csv").read_text().splitlines()[1:]}
         assert sub_ds and sub_ds <= full_ds
+
+    def test_x_max_above_default_enum_cap(self, tmp_path, capsys):
+        # x_max, not EnumConfig's default cap of 10^6, caps the sweep
+        rows = enumerate_discriminants(1_000_001, EnumConfig(x_cap=1_000_001))
+        assert run("enumerate", "--x-max", "1000001", "--out", str(tmp_path)) == EXIT_OK
+        assert f"witnesses: {len(rows)}\n" in capsys.readouterr().out
+        assert read_witnesses_csv(tmp_path / "witnesses.csv") == rows
 
     def test_bad_x_max(self, tmp_path):
         assert run("enumerate", "--x-max", "1", "--out", str(tmp_path)) == EXIT_CONFIG
@@ -291,7 +299,7 @@ class TestCount:
         assert after == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["n_honda.csv", "n_truth.csv"]
 
-    def test_checkpoints_above_x_max_rejected(self, tmp_path):
+    def test_checkpoints_above_x_max_rejected(self, tmp_path, capsys):
         code = run(
             "count",
             "--x-max", "500",
@@ -299,6 +307,9 @@ class TestCount:
             "--out", str(tmp_path),
         )
         assert code == EXIT_CONFIG
+        # the sweep's own cap check fires before any sweep or write
+        assert "configuration error: X=1000 exceeds the enumeration cap 500" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFalsifyScholz:

@@ -9,13 +9,14 @@ are verified inline where they matter.
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccsieve.honda import (
     ConfigurationError,
     EnumConfig,
     derived_m_max,
     enumerate_discriminants,
-    read_csv,
     read_witnesses_csv,
     validate_witness,
     write_csv,
@@ -234,6 +235,34 @@ class TestWitnessCsv:
             with pytest.raises(ValueError, match=message):
                 read_witnesses_csv(path)
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        rows=st.lists(st.tuples(*[st.integers(1, 10**30)] * 4), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_one_character_edit_is_malformed(self, tmp_path_factory, rows, data):
+        path = tmp_path_factory.mktemp("edit") / "witnesses.csv"
+        write_witnesses_csv(rows, path)
+        assert read_witnesses_csv(path) == rows
+        header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        k = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        edit = data.draw(st.sampled_from(["+", "0", "_", " ", "\r", "no LF"]))
+        if edit == "no LF":
+            k = len(lines) - 1
+            lines[k] = lines[k].removesuffix("\n")
+        else:
+            # a sign or a leading zero goes before a field; the rest anywhere
+            if edit in "+0":
+                spots = [0] + [i + 1 for i, c in enumerate(line) if c == ","]
+            else:
+                spots = range(len(line))
+            i = data.draw(st.sampled_from(spots))
+            lines[k] = line[:i] + edit + line[i:]
+        path.write_bytes("".join([header, *lines]).encode("utf-8"))
+        with pytest.raises(ValueError, match="^malformed row: "):
+            read_witnesses_csv(path)
+
 
 class TestCsv:
     def test_comment_header_and_rows(self, tmp_path):
@@ -247,10 +276,11 @@ class TestCsv:
         assert path.read_bytes() == b"a,b\n1,2\n"
 
     def test_round_trip(self, tmp_path):
+        # the witness reader takes back whatever write_csv writes, signs too
         path = tmp_path / "rows.csv"
-        rows = [(1, -2, 3), (40, 50, 60)]
-        write_csv(path, "a,b,c", rows)
-        assert read_csv(path, "a,b,c") == rows
+        rows = [(1, -2, 3, 0), (40, 50, 60, 70)]
+        write_csv(path, "d,m,n,u", rows)
+        assert read_witnesses_csv(path) == rows
 
     def test_crash_mid_write_leaves_target_untouched(self, tmp_path):
         def rows_then_crash():

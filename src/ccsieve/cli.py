@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -299,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed output pipe ends the run, with no traceback
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

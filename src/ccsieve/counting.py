@@ -194,7 +194,7 @@ def scholz_counterexample_search(bound: int, workers: int = 1) -> list[tuple[int
     3 | h(k)"; a nonempty result shows that direction of reflection fails.
     """
     if bound < 2:
-        raise ValueError("bound must be at least 2")
+        raise ConfigurationError("bound must be at least 2")
     if bound > SCHOLZ_BOUND_CAP:
         raise ConfigurationError(f"bound={bound} exceeds the oracle range {SCHOLZ_BOUND_CAP}")
     return parallel_map(_scholz_chunk, 2, bound, workers)

@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from .intmath import cubic_has_integer_root, icbrt, is_squarefree, primes_upto
 
@@ -47,17 +47,17 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class EnumConfig:
-    """Search-box knobs for the (m, n) sweep.
+    """Knobs of the (m, n) sweep: the cap on X and the shortcut filter.
 
-    The m range is derived from the target bound X: every witness with
-    u <= u_cap, n <= n_max and d <= X satisfies 4*m^3 <= X*u_cap^2 +
-    27*n_max^2, which caps m.  The n sweep itself is not capped (all n
-    with 27*n^2 < 4*m^3 are visited), so the box may well discover
-    witnesses beyond that guaranteed sub-family.
+    The box is fixed, by the class constants u_cap and n_max: every
+    witness with u <= u_cap, n <= n_max and d <= X satisfies 4*m^3 <=
+    X*u_cap^2 + 27*n_max^2, which caps m.  The n sweep itself is not
+    capped (all n with 27*n^2 < 4*m^3 are visited), so the box may well
+    discover witnesses beyond that guaranteed sub-family.
     """
 
-    u_cap: int = 4
-    n_max: int = 32
+    u_cap: ClassVar[int] = 4
+    n_max: ClassVar[int] = 32
     x_cap: int = 1_000_000
     shortcut_only: bool = False
 
@@ -88,16 +88,6 @@ def derived_m_max(X: int, config: EnumConfig) -> int:
     """Largest m swept for bound X: 4*m^3 <= X*u_cap^2 + 27*n_max^2."""
     total = X * config.u_cap * config.u_cap + 27 * config.n_max * config.n_max
     return icbrt(total // 4)
-
-
-def _check_sweep_config(X: int, config: EnumConfig) -> int:
-    if X < 2:
-        raise ValueError("X must be at least 2")
-    if config.u_cap < 1 or config.n_max < 0:
-        raise ConfigurationError("u_cap must be >= 1 and n_max >= 0")
-    if X > config.x_cap:
-        raise ConfigurationError(f"X={X} exceeds the enumeration cap {config.x_cap}")
-    return derived_m_max(X, config)
 
 
 def _root_tables(primes: list[int]) -> list[tuple[int, int, list[int]]]:
@@ -236,7 +226,11 @@ def enumerate_discriminants(
     The canonical witness is the lexicographically least (m, n, u) found
     for d.
     """
-    found = _sweep_m_range(X, _check_sweep_config(X, config), config.shortcut_only)
+    if X < 2:
+        raise ConfigurationError("X must be at least 2")
+    if X > config.x_cap:
+        raise ConfigurationError(f"X={X} exceeds the enumeration cap {config.x_cap}")
+    found = _sweep_m_range(X, derived_m_max(X, config), config.shortcut_only)
     return sorted(found.values())  # d is unique, so this is d order
 
 

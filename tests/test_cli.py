@@ -1,11 +1,14 @@
 """CLI tests: exit codes, artifact bytes, config precedence, determinism.
 
-Commands are driven through main(argv) for speed; one test goes through a
-real subprocess to cover the module entry point.
+Commands are driven through main(argv) for speed; two tests go through a
+real subprocess to cover the module entry point, one with a closed output
+pipe.
 """
 
 import hashlib
+import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -570,3 +573,25 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
         assert "witnesses: 4" in proc.stdout
         assert (tmp_path / "witnesses.csv").is_file()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_closed_output_pipe(self, tmp_path):
+        # stdout is a pipe whose read end is closed before the run starts,
+        # as in `ccsieve ... | head` once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ccsieve", "enumerate", "--x-max", "100000",
+                 "--out", str(tmp_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == -signal.SIGPIPE
+        assert "Traceback" not in proc.stderr
+        # the file is written before anything is printed
+        assert read_witnesses_csv(tmp_path / "witnesses.csv") == enumerate_discriminants(100_000)

@@ -175,7 +175,7 @@ class TestScholzSearch:
         assert h_imag[93] == class_number_imaginary(-31) == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="^bound must be at least 2$"):
             scholz_counterexample_search(1)
         with pytest.raises(ConfigurationError):
             scholz_counterexample_search(10**9)

@@ -7,6 +7,7 @@ are verified inline where they matter.
 """
 
 import hashlib
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -123,16 +124,12 @@ class TestEnumerate:
             assert three_divides_real_class_number(w[0]), w
 
     def test_x_below_two_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="^X must be at least 2$"):
             enumerate_discriminants(1)
 
     def test_cap_exceeded_is_config_error(self):
         with pytest.raises(ConfigurationError):
             enumerate_discriminants(2_000_000, EnumConfig(x_cap=1_000_000))
-
-    def test_bad_u_cap(self):
-        with pytest.raises(ConfigurationError, match="u_cap must be >= 1"):
-            enumerate_discriminants(100, EnumConfig(u_cap=0))
 
 
 class TestLargeCounts:
@@ -158,14 +155,23 @@ class TestLargeCounts:
 
 
 class TestMBound:
+    def test_box_is_fixed(self):
+        # the box u <= 4, n <= 32 is a constant of the sweep, not a knob
+        assert (EnumConfig.u_cap, EnumConfig.n_max) == (4, 32)
+        assert [f.name for f in fields(EnumConfig)] == ["x_cap", "shortcut_only"]
+        with pytest.raises(TypeError):
+            EnumConfig(u_cap=4)
+        with pytest.raises(TypeError):
+            EnumConfig(n_max=32)
+
     def test_derived_m_max(self):
-        cfg = EnumConfig(u_cap=4, n_max=0)
-        # 4*m^3 <= 300*16 = 4800: m = 10 fits (4000), m = 11 does not (5324)
-        assert derived_m_max(300, cfg) == 10
+        # 4*m^3 <= 300*16 + 27*32^2 = 32448: m = 20 fits (32000), m = 21
+        # does not (37044)
+        assert derived_m_max(300, EnumConfig()) == 20
 
     def test_box_guarantee(self):
         # every witness with u <= u_cap, n <= n_max, d <= X has m inside
-        cfg = EnumConfig(u_cap=4, n_max=32)
+        cfg = EnumConfig()
         X = 5_000
         m_hi = derived_m_max(X, cfg)
         assert 4 * (m_hi + 1) ** 3 > X * cfg.u_cap**2 + 27 * cfg.n_max**2

@@ -34,27 +34,19 @@ from .intmath import is_squarefree
 PRACTICAL_DISCRIMINANT_CAP = 10_000_000
 
 
-def is_fundamental_discriminant(D: int) -> bool:
-    """True iff D is the discriminant of a quadratic field.
-
-    Either D == 1 (mod 4) and squarefree, or D == 0 (mod 4) with D/4
-    squarefree and congruent to 2 or 3 mod 4.  D in {0, 1} is excluded.
-    """
-    if D in (0, 1):
-        return False
-    if D % 4 == 1:
-        return is_squarefree(abs(D))
-    if D % 4 == 0:
-        q = D // 4
-        return q % 4 in (2, 3) and is_squarefree(abs(q))
-    return False
-
-
 def field_discriminant(d: int) -> int:
     """Discriminant of Q(sqrt(d)), of either sign: d if d == 1 (mod 4), else
     4d.  It checks nothing; for d of 0, 1 or not squarefree the result is
     not a fundamental discriminant, so the oracles reject it."""
     return d if d % 4 == 1 else 4 * d
+
+
+def is_fundamental_discriminant(D: int) -> bool:
+    """True iff D is the discriminant of a quadratic field: field_discriminant
+    read backwards.  With k = D/4 if 4 | D, else D, that is k squarefree, not
+    0 or 1, and field_discriminant(k) == D."""
+    k = D // 4 if D % 4 == 0 else D
+    return k not in (0, 1) and field_discriminant(k) == D and is_squarefree(abs(k))
 
 
 def _require_fundamental(D: int, sign: int) -> None:

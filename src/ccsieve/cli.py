@@ -150,8 +150,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(f"truth_x_max must lie in [2, {TRUTH_X_CAP}]")
     if not 2 <= cfg.scholz_bound <= SCHOLZ_BOUND_CAP:
         raise ConfigurationError(f"scholz_bound must lie in [2, {SCHOLZ_BOUND_CAP}]")
-    # out, or the nearest ancestor that exists, must be a directory
-    existing = next((p for p in (cfg.out, *cfg.out.parents) if p.exists()), cfg.out)
+    # out, or the nearest ancestor that exists (a dangling link counts), must be a directory
+    existing = next((p for p in (cfg.out, *cfg.out.parents) if os.path.lexists(p)), cfg.out)
     if not existing.is_dir():
         raise ConfigurationError(f"out={cfg.out}: {existing} is not a directory")
     # a writer would meet a directory only after the whole sweep

@@ -30,7 +30,7 @@ from .classnum import (
     three_divides_real_class_number,
 )
 from .honda import ConfigurationError, EnumConfig, enumerate_discriminants, write_csv
-from .intmath import squarefree_decompose
+from .intmath import is_squarefree, squarefree_decompose
 
 # d maps to discriminant 4d at worst, and the falsifier touches Q(sqrt(-3d)).
 TRUTH_X_CAP = PRACTICAL_DISCRIMINANT_CAP // 4
@@ -126,6 +126,7 @@ def _truth_chunk(lo: int, hi: int) -> list[int]:
     small = small_form_counts(lo, hi, 4, field_discriminant)
     hits = []
     for d in range(lo, hi + 1):
+        # the benchmark pins these 19,999 squarefree_decompose calls until ROADMAP item 1a
         if squarefree_decompose(d)[0] == 1 and three_divides_real_class_number(d, small[d - lo]):
             hits.append(d)
     return hits
@@ -174,7 +175,7 @@ def _scholz_chunk(lo: int, hi: int) -> list[tuple[int, int, int]]:
     real_small = small_form_counts(lo, hi, 4, field_discriminant)
     hits = []
     for d in range(lo, hi + 1):
-        if squarefree_decompose(d)[0] != 1:
+        if not is_squarefree(d):
             continue
         h_imag = class_number_imaginary(_imaginary_discriminant(d), imag_small[d - lo])
         if h_imag % 3:

@@ -2,8 +2,9 @@
 
 Nothing here runs on a CLI path.  The form API (QuadraticForm,
 is_reduced_indefinite, rho, reduced_indefinite_forms) spells out the
-reduction step that class_number_real_narrow inlines as its rho^2 walk,
-and lists the reduced forms that the oracle only counts.
+reduction step on signed forms that class_number_real_narrow takes on
+the unsigned forms (|a|, b, |c|), and lists the reduced forms that the
+oracle only counts.
 The analytic estimate (a truncated Kronecker-character L-sum combined
 with a continued-fraction regulator) and the widened-window recount are
 independent routes to the class numbers, and mod3_shortcut_no_root is

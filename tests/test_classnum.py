@@ -119,9 +119,15 @@ class TestFieldDiscriminant:
     def test_fundamental_exactly_for_squarefree_d(self):
         n = 100_000
         flags = squarefree_sieve(n)
+        fundamental = set()
         for d in range(-n, n + 1):
             expected = d not in (0, 1) and bool(flags[abs(d)])
             assert is_fundamental_discriminant(field_discriminant(d)) == expected, d
+            if expected:
+                fundamental.add(field_discriminant(d))
+        # and no other D is: D == 2, 3 (mod 4) and 4q with q == 0, 1 (mod 4) fail
+        for D in range(-n, n + 1):
+            assert is_fundamental_discriminant(D) == (D in fundamental), D
 
 
 class TestFundamentalPredicate:

@@ -422,6 +422,14 @@ class TestConfigResolution:
         assert captured.out == ""  # rejected before any stage ran
         assert f"configuration error: out={out}: {afile} is not a directory" in captured.err
 
+    def test_out_dangling_symlink(self, tmp_path, capsys):
+        link = tmp_path / "L"
+        link.symlink_to(tmp_path / "missing")
+        assert run("enumerate", "--x-max", "1000", "--out", str(link)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the sweep
+        assert f"configuration error: out={link}: {link} is not a directory" in captured.err
+
     @pytest.mark.parametrize(
         "argv, artifact",
         [

@@ -215,7 +215,8 @@ def class_number_real_narrow(D: int, small: int | None = None) -> int:
     The count stops once every counted form is seen.  A walk that does not
     close within s*s steps, or walks that leave a counted form unseen,
     raise ArithmeticError.  A sweep passes that count as `small`, from
-    small_form_counts; a wrong one gives a wrong h+.
+    small_form_counts; one too large raises, one too small may end the
+    count early with a wrong h+.
     """
     _require_fundamental(D, 1)
     s = math.isqrt(D)

@@ -98,14 +98,16 @@ class RunConfig:
         return EnumConfig(x_cap=self.x_max, shortcut_only=self.shortcut_only)
 
 
-def _load_config_file(path: Path) -> dict[str, str]:
+def _load_config_file(path: Path) -> list[tuple[str, str]]:
+    """The file's (key, value) pairs in file order; a leading byte-order
+    mark is dropped."""
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config file is not UTF-8: {path}") from exc
-    values: dict[str, str] = {}
+    pairs = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,29 +115,29 @@ def _load_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigurationError(f"bad config line (expected key=value): {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+        pairs.append((key.strip(), value.strip()))
+    return pairs
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Each setting takes its default, then CCS_OUT (out only, if not
-    empty), then the config file, then its flag.  Every given value is
-    parsed, also one that a later source overrides."""
+    empty), then the config file, then its flag; within the file the last
+    line for a key wins.  Every given value is parsed, also one that a
+    later line or source overrides."""
     settings = {f.name: f for f in fields(RunConfig)}
     env_out = os.environ.get("CCS_OUT")
-    sources = [{"out": env_out} if env_out else {}]
+    pairs = [("out", env_out)] if env_out else []
     if args.config is not None:
-        sources.append(_load_config_file(Path(args.config)))
-    sources.append({key: getattr(args, key) for key in settings if getattr(args, key) is not None})
+        pairs += _load_config_file(Path(args.config))
+    pairs += [(key, getattr(args, key)) for key in settings if getattr(args, key) is not None]
     cfg = RunConfig()
-    for source in sources:
-        for key, value in source.items():
-            if key not in settings:
-                raise ConfigurationError(f"unknown config key: {key}")
-            try:
-                setattr(cfg, key, settings[key].metadata["parse"](value))
-            except ValueError as exc:
-                raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
+    for key, value in pairs:
+        if key not in settings:
+            raise ConfigurationError(f"unknown config key: {key}")
+        try:
+            setattr(cfg, key, settings[key].metadata["parse"](value))
+        except ValueError as exc:
+            raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
     _validate_config(cfg)
     return cfg
 

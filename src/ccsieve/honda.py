@@ -13,15 +13,16 @@ Rows with 3 | m are skipped, since gcd(m, 3n) = 3 there.  For each prime
 residue classes 27*n^2 = 4*m^3 (mod p), found from a square-root table
 mod p and Hensel-lifted to every p^k; walking those progressions records
 the parity of each n's exponent of p.  The prime 2 is read off t(n)
-directly (only even n, odd m), 3 never divides t(n) on a kept row, and a
-prime p | m divides t(n) only when p | n, which the gcd condition already
-excludes.  The cofactor left has no prime factor p with p^3 <= 4*m^3,
-while t(n) < 4*m^3, so it is 1, squarefree or a prime squared, and one
-isqrt settles (u, d).  The n for which X^3 - m*X + n has an integer
-root x are excluded per row as the set of x*(m - x^2), so no pair is
-trial-divided.  One list of the primes with p^3 <= 4*m_max^3, built
-once per sweep and never at import, gives the square-root tables and
-the primes dividing each m.  The sweep runs in this process.
+directly (only even n, odd m), and 3 never divides t(n) on a kept row.  A
+prime p | m divides t(n) only when p | n, which the gcd condition
+excludes, so the same pass over the row's primes drops the n that share
+a prime with m.  The cofactor left has no prime factor p with p^3 <=
+4*m^3, while t(n) < 4*m^3, so it is 1, squarefree or a prime squared,
+and one isqrt settles (u, d).  The n for which X^3 - m*X + n has an
+integer root x are excluded per row as the set of x*(m - x^2), so no
+pair is trial-divided.  The square-root tables cover the primes with
+p^3 <= 4*m_max^3; they are built once per sweep, never at import.  The
+sweep runs in this process.
 
 The package's one CSV writer, `write_csv`, and the witness reader, which
 accepts exactly the lines `write_csv` writes, live here.
@@ -90,14 +91,12 @@ def derived_m_max(X: int, config: EnumConfig) -> int:
     return icbrt(total // 4)
 
 
-def _root_tables(primes: list[int]) -> list[tuple[int, int, list[int]]]:
-    """(p, 1/27 mod p, roots) for the primes p >= 5 in `primes`, where
+def _root_tables(p_max: int) -> list[tuple[int, int, list[int]]]:
+    """(p, 1/27 mod p, roots) for the primes 5 <= p <= p_max, where
     roots[v] is the r in [1, p/2) with r^2 = v (mod p), or 0 when v is 0
     or a non-residue."""
     tables = []
-    for p in primes:
-        if p < 5:
-            continue
+    for p in primes_upto(p_max)[2:]:
         roots = [0] * p
         for r in range(1, (p + 1) // 2):
             roots[r * r % p] = r
@@ -119,35 +118,25 @@ def _cubic_root_ns(m: int, n_hi: int) -> set[int]:
     return {n for n in ns if n <= n_hi}
 
 
-def _kept_n(m: int, n_hi: int, shortcut_only: bool, primes: list[int]) -> bytearray:
-    """Mask over n in [0, n_hi]: 1 where gcd(m, 3n) = 1 (given 3 does not
-    divide m), X^3 - m*X + n is rootless, and, under shortcut_only, 3
-    does not divide n.  `primes` holds every prime dividing m."""
-    keep = bytearray([1]) * (n_hi + 1)
-    keep[0] = 0
-    dropped = [p for p in primes if m % p == 0]
-    if shortcut_only:
-        dropped.append(3)
-    for p in dropped:
-        keep[::p] = bytes(len(range(0, n_hi + 1, p)))
-    for n in _cubic_root_ns(m, n_hi):
-        keep[n] = 0
-    return keep
-
-
 def _sieve_row(
-    m: int, n_hi: int, tables: list[tuple[int, int, list[int]]]
-) -> tuple[list[int], list[int]]:
-    """Small-prime parts of t(n) = 4*m^3 - 27*n^2 for n in [0, n_hi], 3 not
-    dividing m: lists d_part, u_part with d_part[n] * u_part[n]^2 the part
-    of t(n) over the primes p with p^3 <= 4*m^3, d_part[n] squarefree.
+    m: int, n_hi: int, shortcut_only: bool, tables: list[tuple[int, int, list[int]]]
+) -> tuple[bytearray, list[int], list[int]]:
+    """One row of the sweep, 3 not dividing m: the mask keep over n in
+    [0, n_hi], 1 where gcd(m, 3n) = 1, X^3 - m*X + n is rootless and,
+    under shortcut_only, 3 does not divide n; and lists d_part, u_part
+    with d_part[n] * u_part[n]^2 the part of t(n) = 4*m^3 - 27*n^2 over
+    the primes p with p^3 <= 4*m^3, d_part[n] squarefree, where kept.
 
-    Entries at n sharing a prime with m are not meaningful.
+    The one pass over those primes also drops the n sharing a prime with
+    m; every m has such a prime (2, or some p >= 5), so n = 0 goes too.
     """
     t4 = 4 * m * m * m
     size = n_hi + 1
+    keep = bytearray([1]) * size
     d_part = [1] * size
     u_part = [1] * size
+    if shortcut_only:
+        keep[::3] = bytes(n_hi // 3 + 1)
     if m & 1:
         # t(2k) = 4*(m^3 - 27k^2): exactly 2^2 for even k, 2^3 or more for odd k
         for n in range(4, size, 4):
@@ -157,13 +146,18 @@ def _sieve_row(
             e = (t & -t).bit_length() - 1
             d_part[n] = 1 << (e & 1)
             u_part[n] = 1 << (e >> 1)
+    else:
+        keep[::2] = bytes(n_hi // 2 + 1)
     p_hi = icbrt(t4)
     for p, inv27, roots in tables:
         if p > p_hi:
             break
-        r = roots[t4 * inv27 % p]
+        v = t4 * inv27 % p
+        r = roots[v]
         if not r:
-            continue  # 27n^2 = 4m^3 (mod p) is unsolvable, or p | m
+            if not v:  # p | m, so gcd(m, 3n) = 1 drops n = 0 (mod p)
+                keep[::p] = bytes(n_hi // p + 1)
+            continue  # else 27n^2 = 4m^3 (mod p) is unsolvable
         inv = pow(54 * r, -1, p)
         # n and pk - n are the roots of 27n^2 = 4m^3 (mod pk), pk = p^k;
         # the classes only shrink with k, so stop once both pass n_hi
@@ -180,7 +174,9 @@ def _sieve_row(
             n += (t4 - 27 * n * n) // pk * inv % p * pk  # Hensel step to p^(k+1)
             pk *= p
             odd = not odd
-    return d_part, u_part
+    for n in _cubic_root_ns(m, n_hi):
+        keep[n] = 0
+    return keep, d_part, u_part
 
 
 def _sweep_m_range(
@@ -193,16 +189,15 @@ def _sweep_m_range(
     first pair to yield a d carries its lex-least witness.
     """
     found: dict[int, tuple[int, int, int, int]] = {}
-    primes = primes_upto(icbrt(4 * m_hi * m_hi * m_hi))
-    tables = _root_tables(primes)
+    tables = _root_tables(icbrt(4 * m_hi * m_hi * m_hi))
     isqrt = math.isqrt
     for m in range(2, m_hi + 1):
         if m % 3 == 0 or (shortcut_only and m % 3 != 1):
             continue
         t4 = 4 * m * m * m
         n_hi = isqrt((t4 - 1) // 27)  # the largest n with 27*n^2 < 4*m^3
-        d_part, u_part = _sieve_row(m, n_hi, tables)
-        for n in compress(range(n_hi + 1), _kept_n(m, n_hi, shortcut_only, primes)):
+        keep, d_part, u_part = _sieve_row(m, n_hi, shortcut_only, tables)
+        for n in compress(range(n_hi + 1), keep):
             d = d_part[n]
             u = u_part[n]
             c = (t4 - 27 * n * n) // (d * u * u)

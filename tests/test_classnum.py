@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccsieve.classnum import (
+    _small_form_count,
     class_number_imaginary,
     class_number_real_narrow,
     field_discriminant,
@@ -196,6 +197,15 @@ class TestRealNarrow:
                              (45, "not a fundamental")):
             with pytest.raises(ValueError, match=message):
                 class_number_real_narrow(bad)
+
+    def test_small_count_too_large_raises(self):
+        # the walks mark only true small forms, so a count above the true
+        # one is never reached and the coverage check must fire
+        Ds = fundamental_range(5, 20000)
+        assert len(Ds) == 6081
+        for D in Ds:
+            with pytest.raises(ArithmeticError, match="do not cover"):
+                class_number_real_narrow(D, _small_form_count(D) + 1)
 
 
 class TestReductionStep:

@@ -410,6 +410,31 @@ class TestConfigResolution:
         assert run("enumerate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
         assert "configuration error: config file is not UTF-8" in capsys.readouterr().err
 
+    def test_repeated_key_bad_earlier_value(self, tmp_path, capsys):
+        # every line is parsed, also one that a later line overrides
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x_max=abc\nx_max=1000\n", encoding="utf-8")
+        assert run("enumerate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error: bad value for x_max: 'abc'" in captured.err
+
+    def test_repeated_key_last_line_wins(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x_max=300\nx_max=2\n", encoding="utf-8")
+        assert run("enumerate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+        assert (tmp_path / "witnesses.csv").read_bytes() == b"d,m,n,u\n"
+
+    def test_byte_order_mark_config_file(self, tmp_path):
+        # Windows Notepad starts a UTF-8 file with EF BB BF
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfx_max=1000\n")
+        assert run("enumerate", "--config", str(cfg), "--out", str(tmp_path / "a")) == EXIT_OK
+        assert run("enumerate", "--x-max", "1000", "--out", str(tmp_path / "b")) == EXIT_OK
+        got = (tmp_path / "a" / "witnesses.csv").read_bytes()
+        assert got == (tmp_path / "b" / "witnesses.csv").read_bytes()
+        assert got.count(b"\n") > 1
+
     @pytest.mark.parametrize(
         "command, sub", [("count", ""), ("enumerate", "sub"), ("verify", ""), ("falsify-scholz", "a/b")]
     )

@@ -122,14 +122,14 @@ def _load_config_file(path: Path) -> list[tuple[str, str]]:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Each setting takes its default, then CCS_OUT (out only, if not
     empty), then the config file, then its flag; within the file the last
-    line for a key wins.  Every given value is parsed, also one that a
-    later line or source overrides."""
+    line for a key wins, and of a repeated flag the last value.  Every
+    given value is parsed, also one that a later one overrides."""
     settings = {f.name: f for f in fields(RunConfig)}
     env_out = os.environ.get("CCS_OUT")
     pairs = [("out", env_out)] if env_out else []
     if args.config is not None:
         pairs += _load_config_file(Path(args.config))
-    pairs += [(key, getattr(args, key)) for key in settings if getattr(args, key) is not None]
+    pairs += [(key, value) for key in settings for value in getattr(args, key) or ()]
     cfg = RunConfig()
     for key, value in pairs:
         if key not in settings:
@@ -278,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         for f in fields(RunConfig):
             flag = "--" + f.name.replace("_", "-")
             if isinstance(f.default, bool):  # a flag without a value, read as "true"
-                sp.add_argument(flag, action="store_const", const="true", help=f.metadata["help"])
+                sp.add_argument(flag, action="append_const", const="true", help=f.metadata["help"])
             else:
-                sp.add_argument(flag, help=f.metadata["help"])
+                sp.add_argument(flag, action="append", help=f.metadata["help"])
         sp.add_argument("--config", help="key=value config file")
     return parser
 

@@ -21,8 +21,9 @@ a prime with m.  The cofactor left has no prime factor p with p^3 <=
 and one isqrt settles (u, d).  The n for which X^3 - m*X + n has an
 integer root x are excluded per row as the set of x*(m - x^2), so no
 pair is trial-divided.  The square-root tables cover the primes with
-p^3 <= 4*m_max^3; they are built once per sweep, never at import.  The
-sweep runs in this process.
+p^3 <= 4*m_max^3; they are built once per sweep, never at import.
+`enumerate_discriminants` runs the rows in this process and selects the
+family; `_sieve_row` does one row's arithmetic.
 
 The package's one CSV writer, `write_csv`, and the witness reader, which
 accepts exactly the lines `write_csv` writes, live here.
@@ -119,13 +120,13 @@ def _cubic_root_ns(m: int, n_hi: int) -> set[int]:
 
 
 def _sieve_row(
-    m: int, n_hi: int, shortcut_only: bool, tables: list[tuple[int, int, list[int]]]
+    m: int, n_hi: int, tables: list[tuple[int, int, list[int]]]
 ) -> tuple[bytearray, list[int], list[int]]:
     """One row of the sweep, 3 not dividing m: the mask keep over n in
-    [0, n_hi], 1 where gcd(m, 3n) = 1, X^3 - m*X + n is rootless and,
-    under shortcut_only, 3 does not divide n; and lists d_part, u_part
-    with d_part[n] * u_part[n]^2 the part of t(n) = 4*m^3 - 27*n^2 over
-    the primes p with p^3 <= 4*m^3, d_part[n] squarefree, where kept.
+    [0, n_hi], 1 where gcd(m, 3n) = 1 and X^3 - m*X + n is rootless; and
+    lists d_part, u_part with d_part[n] * u_part[n]^2 the part of
+    t(n) = 4*m^3 - 27*n^2 over the primes p with p^3 <= 4*m^3,
+    d_part[n] squarefree, where kept.
 
     The one pass over those primes also drops the n sharing a prime with
     m; every m has such a prime (2, or some p >= 5), so n = 0 goes too.
@@ -135,8 +136,6 @@ def _sieve_row(
     keep = bytearray([1]) * size
     d_part = [1] * size
     u_part = [1] * size
-    if shortcut_only:
-        keep[::3] = bytes(n_hi // 3 + 1)
     if m & 1:
         # t(2k) = 4*(m^3 - 27k^2): exactly 2^2 for even k, 2^3 or more for odd k
         for n in range(4, size, 4):
@@ -179,24 +178,32 @@ def _sieve_row(
     return keep, d_part, u_part
 
 
-def _sweep_m_range(
-    X: int, m_hi: int, shortcut_only: bool
-) -> dict[int, tuple[int, int, int, int]]:
-    """Sweep m in [2, m_hi], keeping per d <= X the witness (d, m, n, u)
-    with the lex-least (m, n, u).
+def enumerate_discriminants(
+    X: int, config: EnumConfig = EnumConfig()
+) -> list[tuple[int, int, int, int]]:
+    """The canonical witness (d, m, n, u) of every qualifying squarefree d
+    in [2, X] discoverable in the (m, n) box, sorted by d.
 
-    Rows are visited in ascending m and each row in ascending n, so the
-    first pair to yield a d carries its lex-least witness.
+    The canonical witness is the lexicographically least (m, n, u) found
+    for d.  Rows are visited in ascending m and each row in ascending n,
+    so the first pair to yield a d carries it.
     """
-    found: dict[int, tuple[int, int, int, int]] = {}
+    if X < 2:
+        raise ConfigurationError("X must be at least 2")
+    if X > config.x_cap:
+        raise ConfigurationError(f"X={X} exceeds the enumeration cap {config.x_cap}")
+    m_hi = derived_m_max(X, config)
     tables = _root_tables(icbrt(4 * m_hi * m_hi * m_hi))
     isqrt = math.isqrt
+    found: dict[int, tuple[int, int, int, int]] = {}
     for m in range(2, m_hi + 1):
-        if m % 3 == 0 or (shortcut_only and m % 3 != 1):
+        if m % 3 == 0 or (config.shortcut_only and m % 3 != 1):
             continue
         t4 = 4 * m * m * m
         n_hi = isqrt((t4 - 1) // 27)  # the largest n with 27*n^2 < 4*m^3
-        keep, d_part, u_part = _sieve_row(m, n_hi, shortcut_only, tables)
+        keep, d_part, u_part = _sieve_row(m, n_hi, tables)
+        if config.shortcut_only:
+            keep[::3] = bytes(n_hi // 3 + 1)
         for n in compress(range(n_hi + 1), keep):
             d = d_part[n]
             u = u_part[n]
@@ -209,23 +216,6 @@ def _sweep_m_range(
                 d *= c
             if 2 <= d <= X and d not in found:
                 found[d] = (d, m, n, u)
-    return found
-
-
-def enumerate_discriminants(
-    X: int, config: EnumConfig = EnumConfig()
-) -> list[tuple[int, int, int, int]]:
-    """The canonical witness (d, m, n, u) of every qualifying squarefree d
-    in [2, X] discoverable in the (m, n) box, sorted by d.
-
-    The canonical witness is the lexicographically least (m, n, u) found
-    for d.
-    """
-    if X < 2:
-        raise ConfigurationError("X must be at least 2")
-    if X > config.x_cap:
-        raise ConfigurationError(f"X={X} exceeds the enumeration cap {config.x_cap}")
-    found = _sweep_m_range(X, derived_m_max(X, config), config.shortcut_only)
     return sorted(found.values())  # d is unique, so this is d order
 
 

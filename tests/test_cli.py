@@ -425,6 +425,29 @@ class TestConfigResolution:
         assert run("enumerate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_OK
         assert (tmp_path / "witnesses.csv").read_bytes() == b"d,m,n,u\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--x-max", "abc", "--x-max", "1000"], "bad value for x_max: 'abc'"),
+            (["--out", "", "--out", "OUT"], "bad value for out: ''"),
+        ],
+    )
+    def test_repeated_flag_bad_earlier_value(self, tmp_path, capsys, flags, message):
+        # every value of a repeated flag is parsed, also one a later value overrides
+        argv = [str(tmp_path) if f == "OUT" else f for f in flags]
+        assert run("enumerate", "--x-max", "1000", "--out", str(tmp_path), *argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"configuration error: {message}" in captured.err
+        assert not (tmp_path / "witnesses.csv").exists()
+
+    def test_repeated_flag_last_value_wins(self, tmp_path):
+        # range checks apply to the final value only, as for the config file
+        flags = ["--x-max", "300", "--x-max", "2", "--workers", "0", "--workers", "1"]
+        flags += ["--shortcut-only", "--shortcut-only", "--out", str(tmp_path)]
+        assert run("enumerate", *flags) == EXIT_OK
+        assert (tmp_path / "witnesses.csv").read_bytes() == b"d,m,n,u\n"
+
     def test_byte_order_mark_config_file(self, tmp_path):
         # Windows Notepad starts a UTF-8 file with EF BB BF
         cfg = tmp_path / "run.cfg"

@@ -102,12 +102,17 @@ class TestEnumerate:
                 assert 2 <= d <= x
                 assert is_squarefree(d)
 
-    def test_monotone_in_x(self):
-        small = {w[0]: w for w in enumerate_discriminants(1_000)}
-        large = {w[0]: w for w in enumerate_discriminants(10_000)}
-        assert set(small) <= set(large)
-        for d, w in small.items():
-            assert large[d] == w
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(min_value=2, max_value=10**6 - 1), st.data())
+    def test_monotone_in_x(self, x, data):
+        # the rows at x are exactly the rows at any larger bound with d <= x
+        # and m in x's box: rows run in ascending m, first hit per d
+        x_large = data.draw(st.integers(min_value=x + 1, max_value=10**6))
+        for config in (EnumConfig(), EnumConfig(shortcut_only=True)):
+            m_hi = derived_m_max(x, config)
+            large = enumerate_discriminants(x_large, config)
+            expected = [w for w in large if w[0] <= x and w[1] <= m_hi]
+            assert enumerate_discriminants(x, config) == expected
 
     def test_shortcut_subfamily(self):
         full = {w[0] for w in enumerate_discriminants(20_000)}

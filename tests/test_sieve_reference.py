@@ -4,8 +4,8 @@ The reference below splits 4m^3 - 27n^2 for every pair of the box with
 `squarefree_decompose` and tests rootlessness with the divisor scan
 `reference.cubic_root_by_divisors`.  It shares no code with the sieve's
 residue classes, square-root tables or excluded-root sets, so equal
-dictionaries check the whole row sieve, including the lex-least
-tie-break.
+row lists, sorted by d, check the whole sweep of `enumerate_discriminants`,
+including the lex-least tie-break.
 """
 
 import math
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsieve.honda import EnumConfig, _cubic_root_ns, _sweep_m_range, derived_m_max
+from ccsieve.honda import EnumConfig, _cubic_root_ns, derived_m_max, enumerate_discriminants
 from ccsieve.intmath import squarefree_decompose
 from reference import cubic_root_by_divisors
 
@@ -47,23 +47,18 @@ def reference_sweep_m_range(
     return found
 
 
-def as_rows(found: dict[int, tuple[int, int, int]]) -> dict[int, tuple[int, int, int, int]]:
-    """The sweep's shape: each d maps to its witness row (d, m, n, u)."""
-    return {d: (d, *key) for d, key in found.items()}
+def as_rows(found: dict[int, tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """The sweep's shape: the witness rows (d, m, n, u), sorted by d."""
+    return sorted((d, *key) for d, key in found.items())
 
 
 @pytest.mark.parametrize("shortcut_only", [False, True])
 @pytest.mark.parametrize("X", [10**3, 10**5, 10**6])
 def test_full_box_matches_reference(X, shortcut_only):
+    got = enumerate_discriminants(X, EnumConfig(x_cap=X, shortcut_only=shortcut_only))
     m_hi = derived_m_max(X, EnumConfig())
-    got = _sweep_m_range(X, m_hi, shortcut_only)
     assert got == as_rows(reference_sweep_m_range(X, m_hi, shortcut_only))
     assert got  # both families are nonempty at these bounds
-
-
-def test_empty_range():
-    for m_hi in (0, 1):
-        assert _sweep_m_range(10**6, m_hi, False) == {}
 
 
 @settings(deadline=None, max_examples=60)

@@ -23,8 +23,8 @@ from .intmath import is_squarefree
 # counts for a range of d, one period row per a and class of d, and the sweeps
 # in counting pass each count to its oracle call.  The imaginary oracle then
 # reads the roots of sqrt(|D|)/2 < a <= sqrt(|D|/3); the real one walks one
-# rho-cycle for each cycle and its images, up to its second mirror point if it
-# has one, in O(sqrt(D) log D) reduction steps on average.  The shared table
+# rho-cycle for each cycle and its images, between its two mirror points if it
+# has them, in O(sqrt(D) log D) reduction steps on average.  The shared table
 # is grown once to the largest |D| seen: to a = sqrt(D)/2, about 1.5*D bytes,
 # for real D and to a = sqrt(|D|/3), about 2*|D| bytes, for imaginary D, so
 # 20 MB at this cap; the sieve keeps no table of its own.  Past the cap the
@@ -180,25 +180,29 @@ def class_number_imaginary(D: int, small: int | None = None) -> int:
 # Reduced indefinite forms (a, b, c) of discriminant D, s = isqrt(D), have
 # 0 < b <= s, s - b < 2|a| <= s + b and ac < 0.  N(a, b, c) = (-a, b, -c)
 # and the mirror sigma(a, b, c) = (c, b, a) keep them reduced; N commutes
-# with rho, and sigma rho sigma = rho^-1.  The walk runs rho on the unsigned
-# forms (|a|, b, |c|), where it is one formula and N acts trivially:
+# with rho, and sigma rho sigma = rho^-1.  The walk runs rho on the doubled
+# unsigned forms (2|a|, b, 2|c|), where it is one formula and N is trivial:
 # 1. Every rho-cycle holds a form with 2|a| <= s, since consecutive forms
 #    (a_i, b_i, a_{i+1}) have |a_i * a_{i+1}| = (D - b_i^2)/4 < D/4.  So
 #    each cycle Z, or N(Z), holds a form with 0 < 2a <= s, and for 2a <= s
 #    each root class of b^2 == D (mod 4a) has one representative in
 #    (s - 2a, s], and it is reduced.
 # 2. The keys (|a|, b) and (|c|, b) of the forms of Z are the positive
-#    forms of Z, N(Z), sigma(Z) and N sigma(Z).
+#    forms of Z, N(Z), sigma(Z) and N sigma(Z); a form and its mirror image
+#    have the same two keys.
 # 3. sigma reverses the unsigned cycle of Z or maps it to another.  If it
 #    reverses it, the cycle holds two mirror points, half a cycle apart:
 #    steps that keep b (onto an ambiguous form, a | b) and forms with
-#    |a| = |c|.  The mirror images of the forms between them are the rest.
+#    |a| = |c|.  The mirror images of the forms between them are the rest,
+#    and rho walks from the mirror image of a form to those before it.
 # 4. N multiplies the classes by one narrow class, so it fixes every cycle
 #    or none.  The walk over the principal cycle starts on a mirror point,
 #    (1, b, c); N fixes that cycle iff its unsigned cycle has odd length,
 #    that is iff its second mirror point has |a| = |c|.
-# So a walk covers 1 cycle if N fixes Z and it stopped, 2 if one of these
-# holds, and 4 if neither does.
+# A walk marks the half-cycle between the two points, from a start between
+# them in two runs: to one point, then from the start's mirror image to the
+# other.  It covers 1 cycle if N fixes Z and it met a point, 2 if one of
+# these holds, and 4 if neither does.
 
 
 def class_number_real_narrow(D: int, small: int | None = None) -> int:
@@ -208,9 +212,10 @@ def class_number_real_narrow(D: int, small: int | None = None) -> int:
     discriminant D.  The forms with a > 0 and 2a <= s = isqrt(D) are
     counted first, in about s/2 table lookups.  Walks start from the ones
     not yet seen, in ascending a, the first on the principal cycle.  Each
-    runs rho on the unsigned forms (|a|, b, |c|), marks the small keys
-    (|a|, b) and (|c|, b) of each form as seen, and ends at its second
-    mirror point or where it closes: it counts 1 or 2 cycles if it stopped
+    runs rho on the forms (2|a|, b, 2|c|), marks the small keys (|a|, b)
+    and (|c|, b) of each form as seen, and ends at the next mirror point,
+    after a second run from the start's mirror image if the start is none,
+    or where it closes: it counts 1 or 2 cycles if it met a mirror point
     and 2 or 4 if it closed, the smaller if N fixes the principal cycle.
     The count stops once every counted form is seen.  A walk that does not
     close within s*s steps, or walks that leave a counted form unseen,
@@ -223,41 +228,45 @@ def class_number_real_narrow(D: int, small: int | None = None) -> int:
     half = s // 2
     small = _small_form_count(D) if small is None else small
     offsets, roots = _root_table(half)
-    width = s + 1  # a form (a, b) with a > 0 has the key a * width + b, 0 < b <= s
-    seen: set[int] = set()  # the keys with 2a <= s
+    bound = 2 * half  # a doubled form (A, b, C) is small iff A <= bound
+    width = s + 1  # it has the key A * width + b, 0 < b <= s
+    seen: set[int] = set()  # the keys with A <= bound
+    add = seen.add
     cycles = unit = 0
     for a0 in range(1, half + 1):
+        A0 = 2 * a0
         offs = offsets[a0]
-        k = D % (4 * a0)
+        k = D % (2 * A0)
         for r0 in roots[a0][offs[k] : offs[k + 1]]:
-            b0 = b = s - (s - r0) % (2 * a0)
-            if a0 * width + b in seen:
+            b0 = b = s - (s - r0) % A0
+            if A0 * width + b in seen:
                 continue
-            a, c = a0, (D - b * b) // (4 * a0)
-            seen.add(a0 * width + b)
-            if c <= half:
-                seen.add(c * width + b)
-            points = (b % a == 0) + (a == c)  # both only on (1, b, 1), whose step ends the walk
-            for _ in range(s * s):  # unsigned forms have 1 <= a, b <= s
-                # (a, b, c) -> (c, r, (D - r^2)/4c), unsigned
-                r = s - (s + b) % (2 * c)
-                a, c = c, (D - r * r) // (4 * c)
-                if a <= half:
-                    seen.add(a * width + r)
-                if c <= half:
-                    seen.add(c * width + r)
-                if r == b or a == c:
-                    points += 1
-                    if points >= 2:
+            A, C = A0, (D - b * b) // A0
+            add(A0 * width + b)
+            if C <= bound:
+                add(C * width + b)
+            mirrored = b % a0 == 0 or A == C  # met a mirror point: the start is one
+            for _ in range(s * s):  # doubled forms have 2 <= A <= 2s, 1 <= b <= s
+                # (A, b, C) -> (C, r, (D - r^2)/C), unsigned
+                r = s - (s + b) % C
+                A, C = C, (D - r * r) // C
+                if A <= bound:
+                    add(A * width + r)
+                if C <= bound:
+                    add(C * width + r)
+                if r == b or A == C:
+                    if mirrored:
                         break
+                    mirrored = True  # symmetric: walk back from the start's mirror image
+                    A, r, C = (D - b0 * b0) // A0, b0, A0
                 b = r
-                if b == b0 and a == a0:
+                if b == b0 and A == A0:
                     break
             else:
                 raise ArithmeticError(f"reduction cycle failed to close for D={D}")
             if not cycles:
-                unit = 1 if a == c else 2  # the cycles in {Z, N(Z)}: 1 iff N fixes Z
-            cycles += unit if points else 2 * unit
+                unit = 1 if A == C else 2  # the cycles in {Z, N(Z)}: 1 iff N fixes Z
+            cycles += unit if mirrored else 2 * unit
             if len(seen) == small:
                 return cycles
     raise ArithmeticError(f"reduction cycles do not cover the {small} small forms of D={D}")

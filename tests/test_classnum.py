@@ -19,6 +19,7 @@ from ccsieve.classnum import (
     class_number_real_narrow,
     field_discriminant,
     is_fundamental_discriminant,
+    small_form_counts,
     three_divides_real_class_number,
 )
 from ccsieve.intmath import is_squarefree
@@ -206,6 +207,21 @@ class TestRealNarrow:
         for D in Ds:
             with pytest.raises(ArithmeticError, match="do not cover"):
                 class_number_real_narrow(D, _small_form_count(D) + 1)
+
+    # every h+ over the squarefree 2 <= d <= X, where the truth counts pin
+    # only 3 | h+: one-off, and with the truth sweep's sieved counts
+    @pytest.mark.parametrize(
+        "X, sieved, total",
+        [(20_000, False, 77_440), (20_000, True, 77_440), (100_000, True, 514_816)],
+    )
+    def test_sum_over_the_truth_sweep(self, X, sieved, total):
+        small = small_form_counts(2, X, 4, field_discriminant) if sieved else [None] * (X - 1)
+        hs = (
+            class_number_real_narrow(field_discriminant(d), small[d - 2])
+            for d in range(2, X + 1)
+            if is_squarefree(d)
+        )
+        assert sum(hs) == total
 
 
 class TestReductionStep:

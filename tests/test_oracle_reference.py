@@ -136,7 +136,7 @@ class TestRandomDiscriminants:
     fundamental D up to the benchmark's range, well past REFERENCE_RANGE:
     most D with h+ >= 8, whose walk needs several cycles before it has
     covered the counted forms, lie above 10^4.  The first examples are the
-    five largest h+ in [2*10^5, 2.4*10^5]; the last four end their walks
+    five largest h+ in [2*10^5, 2.4*10^5]; the last six end their walks
     in each of the ways the oracle knows, h+ in brackets."""
 
     @settings(deadline=None)
@@ -150,6 +150,8 @@ class TestRandomDiscriminants:
     @example(136)  # (4) N moves the cycles; a walk stops on two forms with a = -c
     @example(145)  # (4) N fixes the cycles; a walk closes and counts 2
     @example(316)  # (6) N moves the cycles; one closed walk counts 4
+    @example(65)  # (2) N fixes the cycles; a walk from between two mirror points runs twice
+    @example(105)  # (4) N moves the cycles; a walk from between two mirror points runs twice
     def test_real(self, D):
         forms = sorted(QuadraticForm(*t) for t in reference_reduced_triples(D))
         s = math.isqrt(D)

@@ -256,22 +256,42 @@ def write_witnesses_csv(rows: Iterable[tuple[int, int, int, int]], path) -> None
     write_csv(path, _WITNESS_HEADER, rows)
 
 
+def _round_trip(template: str, text: str) -> list[int] | None:
+    """The ints of `text`'s fields, each LF a field end like a comma, if
+    `template` filled with them gives back `text`; None otherwise."""
+    try:
+        # the last field is the empty one after the final LF
+        ints = list(map(int, text.replace("\n", ",").split(",")[:-1]))
+        if template % tuple(ints) == text:  # a wrong field count raises TypeError
+            return ints
+    except (ValueError, TypeError):
+        pass
+    return None
+
+
 def read_witnesses_csv(path) -> list[tuple[int, int, int, int]]:
     """Parse a witness export back into (d, m, n, u) rows.  A line is a
     row only if `write_csv`'s template, filled with the line's own ints,
-    gives back the line: no other spelling, line end or field count."""
+    gives back the line: no other spelling, line end or field count.
+
+    The lines are read in blocks of about 8 KiB.  A block is taken whole
+    when the template, once per line and filled with all of the block's
+    ints, gives back the block, which holds iff it holds for each line;
+    otherwise the block's first line that fails is named.  The blocks are
+    small because a block's parse temporaries share allocator arenas with
+    the rows: at 10^7, 64 KiB blocks left about 5 MB of them held after
+    `verify` had freed the rows.
+    """
     line_of = _row_template(_WITNESS_HEADER)
     rows: list[tuple[int, int, int, int]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         found = fh.readline()
         if found != _WITNESS_HEADER + "\n":
             raise ValueError(f"unexpected header {found!r}, expected {_WITNESS_HEADER!r}")
-        for line in fh:
-            try:
-                row = tuple(map(int, line.split(",")))
-                if line_of % row != line:  # a wrong field count raises TypeError
-                    raise ValueError
-            except (ValueError, TypeError):
-                raise ValueError("malformed row: %r" % line.removesuffix("\n")) from None
-            rows.append(row)
+        while lines := fh.readlines(1 << 13):
+            ints = _round_trip(line_of * len(lines), "".join(lines))
+            if ints is None:
+                bad = next(line for line in lines if _round_trip(line_of, line) is None)
+                raise ValueError("malformed row: %r" % bad.removesuffix("\n"))
+            rows += zip(*[iter(ints)] * 4)
     return rows

@@ -2,10 +2,14 @@
 
 Everything here is pure integer arithmetic on value inputs; no floats leak
 into results, and every function is safe to call from concurrent workers.
+The one state is `cubic_has_integer_root`'s cache of a root set per m: it
+lives in each process (a pool worker fills its own), and `lru_cache` keeps
+calls from several threads safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 
@@ -43,6 +47,7 @@ def primes_upto(n: int) -> list[int]:
 # product of the small primes dividing t; a cofactor free of them and below
 # _SMALL^3 has at most two prime factors.
 _SMALL = 1000
+_SMALL_CUBE = _SMALL**3
 _SMALL_PRIMORIAL = math.prod(primes_upto(_SMALL - 1))
 
 
@@ -102,30 +107,53 @@ def is_squarefree(t: int) -> bool:
 
     With g the product of the small primes dividing t, no small prime
     divides t twice iff gcd(t / g, g) = 1, and then the cofactor t / g is
-    free of small primes and goes to _split_large.
+    free of small primes.  Below _SMALL^3 it has at most two prime
+    factors, so it is squarefree unless it is a prime squared, which one
+    isqrt detects; a larger cofactor goes to _split_large.
     """
     if t < 1:
         raise ValueError("is_squarefree requires t >= 1")
     g = math.gcd(t, _SMALL_PRIMORIAL)
     c = t // g
-    return math.gcd(c, g) == 1 and _split_large(c)[0] == 1
+    if math.gcd(c, g) != 1:
+        return False
+    if c < _SMALL_CUBE:
+        return c == 1 or math.isqrt(c) ** 2 != c
+    return _split_large(c)[0] == 1
+
+
+# The m below which cubic_has_integer_root keeps a set of positive-root
+# values per m, one set each: the m <= 3,420 of a sweep to X = 10^10 are
+# all in, and no set has more than 63 elements.
+_ROOT_SET_M = 4096
+
+
+@functools.lru_cache(maxsize=_ROOT_SET_M)
+def _positive_root_ns(m: int) -> frozenset[int]:
+    """The x*(m - x^2) for 1 <= x <= isqrt(m - 1), the n >= 1 for which
+    X^3 - m*X + n has a positive root."""
+    return frozenset([x * (m - x * x) for x in range(1, math.isqrt(m - 1) + 1)])
 
 
 def cubic_has_integer_root(m: int, n: int) -> bool:
     """True iff X^3 - m*X + n has an integer root, for m, n >= 1.
 
     A root x gives n = x*(m - x^2).  A positive root has x^2 < m, so
-    x <= isqrt(m - 1) covers them.  A negative root -y has y^2 > m and
+    x <= isqrt(m - 1) covers them: below _ROOT_SET_M n is looked up in
+    their set for m, and above it compared with each, so a large m holds
+    no memory.  A negative root -y has y^2 > m and
     n = y*(y^2 - m) < y^3, and y*(y^2 - m) grows with y there, so the
     scan steps up from max(isqrt(m - 1) + 1, icbrt(n)) while the value
-    is below n: about sqrt(m) steps either way, with no divisor list.
+    is below n, with no divisor list.
     (icbrt is only taken when n > (isqrt(m - 1) + 1)^3, which no row of
     the sweep reaches, since 27n^2 < 4m^3 there.)
     """
     r = math.isqrt(m - 1)
-    for x in range(1, r + 1):
-        if x * (m - x * x) == n:
+    if m < _ROOT_SET_M:
+        if n in _positive_root_ns(m):
             return True
+    elif any(x * (m - x * x) == n for x in range(1, r + 1)):
+        return True
     y = r + 1
     if y * y * y < n:
         y = icbrt(n)

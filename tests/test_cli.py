@@ -141,6 +141,23 @@ class TestVerify:
         assert "FAIL parsing" in out and "malformed row: '2_29,4,1,1'" in out
         assert "checked: 0" in out and "failed: 1" in out
 
+    def test_two_bad_rows_past_the_first_block_name_the_first(self, tmp_path, capsys):
+        # 7,981 rows at 10^6, read in blocks of about 8 KiB; rows 5,000 and
+        # 7,000 lie far past the first
+        run("enumerate", "--x-max", "1000000", "--out", str(tmp_path))
+        path = tmp_path / "witnesses.csv"
+        header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = [lines[4_999].replace(",", ",0", 1), "+" + lines[6_999]]
+        lines[4_999], lines[6_999] = bad
+        path.write_bytes("".join([header, *lines]).encode("utf-8"))
+        code = run("verify", "--out", str(tmp_path), "--truth-x-max", "100")
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        first = bad[0].removesuffix("\n")
+        assert f"FAIL parsing {path}: malformed row: '{first}'\n" in out
+        assert "malformed row: '+" not in out
+        assert "checked: 0" in out and "failed: 1" in out
+
     @pytest.mark.parametrize(
         "text",
         [

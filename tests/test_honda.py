@@ -7,6 +7,7 @@ are verified inline where they matter.
 """
 
 import hashlib
+import re
 from dataclasses import fields
 
 import pytest
@@ -245,6 +246,37 @@ class TestWitnessCsv:
             path.write_bytes(text.encode("utf-8"))
             with pytest.raises(ValueError, match=message):
                 read_witnesses_csv(path)
+
+    def test_field_counts_that_shift_between_lines(self, tmp_path):
+        # 3 + 5 fields fill the template of two rows, 1,2,3,4 and 5,6,7,8,
+        # but neither line is a row
+        path = tmp_path / "witnesses.csv"
+        path.write_bytes(b"d,m,n,u\n1,2,3\n4,5,6,7,8\n")
+        with pytest.raises(ValueError, match=r"^malformed row: '1,2,3'$"):
+            read_witnesses_csv(path)
+
+    @pytest.mark.parametrize(
+        "edits",
+        [(6_000,), (100, 6_000), (5_000, 5_001), (6_000, 7_980)],
+        ids=["past-first-block", "first-block-and-later", "same-later-block", "two-later-blocks"],
+    )
+    def test_names_the_first_bad_line_of_a_multi_block_file(self, tmp_path, edits):
+        # the 7,981 rows at 10^6 take 126,211 bytes, which the reader takes
+        # in 16 blocks of about 8 KiB: the first ends at row 580, rows 5,000
+        # and 5,001 share a block, and rows 6,000 and 7,980 do not
+        path = tmp_path / "witnesses.csv"
+        rows = enumerate_discriminants(10**6)
+        assert len(rows) == 7_981
+        write_witnesses_csv(rows, path)
+        assert path.stat().st_size > 1 << 16
+        assert read_witnesses_csv(path) == rows
+        header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for k in edits:
+            lines[k] = "+" + lines[k]
+        path.write_bytes("".join([header, *lines]).encode("utf-8"))
+        first = lines[edits[0]].removesuffix("\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"malformed row: '{first}'") + "$"):
+            read_witnesses_csv(path)
 
     @settings(deadline=None, max_examples=200)
     @given(

@@ -117,6 +117,19 @@ class TestSquarefreeDecompose:
             assert squarefree_decompose(t) == parts, t
             assert is_squarefree(t) == (parts[0] == 1), t
 
+    def test_is_squarefree_at_the_isqrt_bound(self):
+        # a cofactor free of the primes below 1000 is settled by one isqrt
+        # below 1000^3 = 10^9 and by trial division above it; 31607 and
+        # 31627 are the primes next to sqrt(10^9) = 31622.8
+        assert all(p % q for p in (1009, 1013, 1019, 31607, 31627) for q in range(2, 178))
+        below = [1009**2, 1009 * 1013, 31607**2]
+        above = [1009**3, 1009 * 1013 * 1019, 31627**2]
+        assert max(below) < 10**9 < min(above)
+        for t in below + above + [2 * 3 * t for t in below + above]:
+            assert is_squarefree(t) == (squarefree_decompose(t)[0] == 1), t
+        assert [is_squarefree(t) for t in below] == [False, True, False]
+        assert [is_squarefree(t) for t in above] == [False, True, False]
+
     def test_cofactor_above_the_trial_division_bound(self):
         # 1013^2 * (10^9 + 7) has no prime factor below 1000 and exceeds
         # 1000^3, so only trial division from 1001 upward finds the square
@@ -155,6 +168,43 @@ class TestCubicRoot:
     def test_against_divisor_scan(self):
         for m in range(1, 401):
             for n in range(1, 3001):
+                assert cubic_has_integer_root(m, n) == cubic_root_by_divisors(m, n), (m, n)
+
+    def test_every_root_next_to_the_root_set_bound(self):
+        # below m = 4096 n is looked up in a cached set of positive-root
+        # values, from 4096 on compared with each; the n with a root are
+        # the x*(m - x^2), x^2 < m, and the y*(y^2 - m), y^2 > m
+        for m in (4094, 4095, 4096, 4097, 10**5):
+            r = math.isqrt(m - 1)
+            ns = {x * (m - x * x) for x in range(1, r + 1)}
+            ns |= {y * (y * y - m) for y in range(r + 1, 2 * r)}
+            for n in ns:
+                assert cubic_has_integer_root(m, n) is True, (m, n)
+                for k in (n - 1, n + 1):
+                    if k >= 1 and k not in ns:
+                        assert cubic_has_integer_root(m, k) == cubic_root_by_divisors(m, k)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.integers(2, 5000) | st.integers(2, 10**5), min_size=1, max_size=3), st.data())
+    def test_against_divisor_scan_with_repeated_m(self, pool, data):
+        # each m of the pool is drawn again and again, interleaved with the
+        # others, so the per-m root sets are both built and looked up (an
+        # m >= 4096 keeps no set); n lies inside the sweep's row bound
+        # 27n^2 < 4m^3 or above it, and is often a root value or next to one
+        for _ in range(8):
+            m = data.draw(st.sampled_from(pool))
+            n_hi = math.isqrt((4 * m**3 - 1) // 27)
+            r = math.isqrt(m - 1)
+            x = data.draw(st.sampled_from([1, r]) | st.integers(1, r))
+            y = data.draw(st.sampled_from([r + 1]) | st.integers(r + 1, 2 * r + 10))
+            n = data.draw(
+                st.integers(1, n_hi)
+                | st.integers(n_hi + 1, 4 * n_hi)
+                | st.sampled_from([x * (m - x * x), y * (y * y - m)]).flatmap(
+                    lambda v: st.sampled_from([v - 1, v, v + 1])
+                )
+            )
+            if n >= 1:
                 assert cubic_has_integer_root(m, n) == cubic_root_by_divisors(m, n), (m, n)
 
     def test_against_full_scan(self):

@@ -2,13 +2,16 @@
 
 Everything here is pure integer arithmetic on value inputs; no floats leak
 into results, and every function is safe to call from concurrent workers.
-The one state is `cubic_has_integer_root`'s cache of a root set per m: it
-lives in each process (a pool worker fills its own), and `lru_cache` keeps
-calls from several threads safe.
+The squarefree kernels take one gcd against a product of small primes
+sized to t's bit length, from a constant table built at import.  The one
+state is `cubic_has_integer_root`'s cache of the root values of both
+signs per m: it lives in each process (a pool worker fills its own), and
+`lru_cache` keeps calls from several threads safe.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -43,21 +46,31 @@ def primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime[p]]
 
 
-# The product of the primes below _SMALL, so gcd(t, _SMALL_PRIMORIAL) is the
-# product of the small primes dividing t; a cofactor free of them and below
-# _SMALL^3 has at most two prime factors.
-_SMALL = 1000
-_SMALL_CUBE = _SMALL**3
-_SMALL_PRIMORIAL = math.prod(primes_upto(_SMALL - 1))
+# The primes below _SMALL = 2^10, and for each bit length b <= 30 the
+# product of those below 2^ceil(b/3), so gcd(t, _PRIMORIALS[b]) is the
+# product of those primes dividing a t of b bits.  The cofactor left is
+# below 2^b and its prime factors are at least 2^ceil(b/3), so it has at
+# most two.  A longer t takes the last entry, the primes below 2^10;
+# its cofactor, if below _SMALL^3 = 2^30, has at most two as well.
+_SMALL_BITS = 10
+_SMALL = 1 << _SMALL_BITS
+_CUBE_BITS = 3 * _SMALL_BITS
+_SMALL_CUBE = 1 << _CUBE_BITS
+_SMALL_PRIMES = primes_upto(_SMALL)
+_PRIMORIALS = [
+    math.prod(_SMALL_PRIMES[: bisect.bisect_left(_SMALL_PRIMES, 1 << -(-b // 3))])
+    for b in range(_CUBE_BITS + 1)
+]
 
 
 def _split_large(c: int) -> tuple[int, int]:
-    """(u, d) with c = u^2 * d and d squarefree, for c with no prime factor
-    below _SMALL.
+    """(u, d) with c = u^2 * d and d squarefree, for c whose prime factors
+    p below _SMALL all have p^3 > c.
 
     Trial-divides from _SMALL + 1 while p^3 <= c, which never happens below
-    _SMALL^3; the cofactor left has at most two prime factors, so it is
-    squarefree unless it is a perfect square (detected exactly by isqrt).
+    _SMALL^3; the cofactor left has no prime factor p with p^3 <= c, so at
+    most two, and it is squarefree unless it is a perfect square (detected
+    exactly by isqrt).
     """
     u = d = 1
     p = _SMALL + 1
@@ -81,14 +94,16 @@ def squarefree_decompose(t: int) -> tuple[int, int]:
     """Split t >= 1 as t = u^2 * d with d squarefree; returns (u, d).
 
     The small primes come out by gcds, not trial division: with g_1 the
-    product of the small primes dividing t and g_{k+1} = gcd(t / (g_1 ...
-    g_k), g_k), g_k is the product of those whose exponent is at least k,
-    so u takes g_2 * g_4 * ... and d takes g_1/g_2 * g_3/g_4 * ...  The
-    cofactor left goes to _split_large.
+    product of the primes of t's table entry that divide t and g_{k+1} =
+    gcd(t / (g_1 ... g_k), g_k), g_k is the product of those whose
+    exponent is at least k, so u takes g_2 * g_4 * ... and d takes
+    g_1/g_2 * g_3/g_4 * ...  The cofactor left goes to _split_large,
+    which settles one below 2^30 with one isqrt.
     """
     if t < 1:
         raise ValueError("squarefree_decompose requires t >= 1")
-    g = math.gcd(t, _SMALL_PRIMORIAL)
+    b = t.bit_length()
+    g = math.gcd(t, _PRIMORIALS[b] if b <= _CUBE_BITS else _PRIMORIALS[-1])
     c = t // g
     u = d = 1
     while g > 1:
@@ -105,15 +120,17 @@ def squarefree_decompose(t: int) -> tuple[int, int]:
 def is_squarefree(t: int) -> bool:
     """True iff no prime square divides t (t >= 1).
 
-    With g the product of the small primes dividing t, no small prime
-    divides t twice iff gcd(t / g, g) = 1, and then the cofactor t / g is
-    free of small primes.  Below _SMALL^3 it has at most two prime
-    factors, so it is squarefree unless it is a prime squared, which one
-    isqrt detects; a larger cofactor goes to _split_large.
+    With g the product of the primes of t's table entry that divide t, no
+    such prime divides t twice iff gcd(t / g, g) = 1, and then the
+    cofactor t / g is free of them.  Below _SMALL^3 it has at most two
+    prime factors, so it is squarefree unless it is a prime squared,
+    which one isqrt detects; a larger cofactor (only from a t above 30
+    bits) goes to _split_large.
     """
     if t < 1:
         raise ValueError("is_squarefree requires t >= 1")
-    g = math.gcd(t, _SMALL_PRIMORIAL)
+    b = t.bit_length()
+    g = math.gcd(t, _PRIMORIALS[b] if b <= _CUBE_BITS else _PRIMORIALS[-1])
     c = t // g
     if math.gcd(c, g) != 1:
         return False
@@ -122,39 +139,48 @@ def is_squarefree(t: int) -> bool:
     return _split_large(c)[0] == 1
 
 
-# The m below which cubic_has_integer_root keeps a set of positive-root
-# values per m, one set each: the m <= 3,420 of a sweep to X = 10^10 are
-# all in, and no set has more than 63 elements.
+# The m below which cubic_has_integer_root keeps a set of root values per
+# m, one set each: the m <= 3,420 of a sweep to X = 10^10 are all in, and
+# no set has more than 73 elements.
 _ROOT_SET_M = 4096
 
 
 @functools.lru_cache(maxsize=_ROOT_SET_M)
-def _positive_root_ns(m: int) -> frozenset[int]:
-    """The x*(m - x^2) for 1 <= x <= isqrt(m - 1), the n >= 1 for which
-    X^3 - m*X + n has a positive root."""
-    return frozenset([x * (m - x * x) for x in range(1, math.isqrt(m - 1) + 1)])
+def _root_ns(m: int) -> tuple[int, frozenset[int]]:
+    """(hi, the n in [1, hi] for which X^3 - m*X + n has an integer root)
+    with hi = isqrt(4m^3/27): the x*(m - x^2) for 1 <= x <= isqrt(m - 1)
+    and the y*(y^2 - m) <= hi for y > isqrt(m), which grow with y."""
+    hi = math.isqrt(4 * m * m * m // 27)
+    ns = [x * (m - x * x) for x in range(1, math.isqrt(m - 1) + 1)]
+    y = math.isqrt(m) + 1
+    while y * (y * y - m) <= hi:
+        ns.append(y * (y * y - m))
+        y += 1
+    return hi, frozenset(ns)
 
 
 def cubic_has_integer_root(m: int, n: int) -> bool:
     """True iff X^3 - m*X + n has an integer root, for m, n >= 1.
 
     A root x gives n = x*(m - x^2).  A positive root has x^2 < m, so
-    x <= isqrt(m - 1) covers them: below _ROOT_SET_M n is looked up in
-    their set for m, and above it compared with each, so a large m holds
-    no memory.  A negative root -y has y^2 > m and
-    n = y*(y^2 - m) < y^3, and y*(y^2 - m) grows with y there, so the
-    scan steps up from max(isqrt(m - 1) + 1, icbrt(n)) while the value
-    is below n, with no divisor list.
-    (icbrt is only taken when n > (isqrt(m - 1) + 1)^3, which no row of
-    the sweep reaches, since 27n^2 < 4m^3 there.)
+    x <= isqrt(m - 1), and n <= hi = isqrt(4m^3/27), since
+    sqrt(4m^3/27) is the largest x*(m - x^2) over the reals.  A negative
+    root -y has y^2 > m and n = y*(y^2 - m) < y^3, which grows with y
+    there.  Below _ROOT_SET_M an n <= hi (every n with 27n^2 < 4m^3, so
+    every row of the sweep) is looked up in the cached set of the root
+    values of both signs up to hi.  Above hi only a negative root is
+    possible; from _ROOT_SET_M on the positive roots are compared with n
+    one by one, so a large m holds no memory.  The scan for -y steps up
+    from max(isqrt(m - 1) + 1, icbrt(n)) while y*(y^2 - m) is below n,
+    with no divisor list.
     """
-    r = math.isqrt(m - 1)
     if m < _ROOT_SET_M:
-        if n in _positive_root_ns(m):
-            return True
-    elif any(x * (m - x * x) == n for x in range(1, r + 1)):
+        hi, ns = _root_ns(m)
+        if n <= hi:
+            return n in ns
+    elif any(x * (m - x * x) == n for x in range(1, math.isqrt(m - 1) + 1)):
         return True
-    y = r + 1
+    y = math.isqrt(m - 1) + 1
     if y * y * y < n:
         y = icbrt(n)
     while y * (y * y - m) < n:

@@ -10,9 +10,10 @@ with a continued-fraction regulator) and the widened-window recount are
 independent routes to the class numbers, and mod3_shortcut_no_root is
 the sufficient condition for rootlessness behind --shortcut-only;
 cubic_root_by_divisors is the divisor scan that cubic_has_integer_root
-replaced, squarefree_sieve marks the squarefree integers by sieving, and
-chunks_by_prefix is the prefix-sum split that the pool's closed-form
-chunking must reproduce.
+replaced, squarefree_sieve marks the squarefree integers by sieving,
+squarefree_parts_by_trial_division splits one integer by trial
+division, and chunks_by_prefix is the prefix-sum split that the pool's
+closed-form chunking must reproduce.
 Import with `from reference import ...`: pytest puts tests/ on sys.path.
 """
 
@@ -41,6 +42,22 @@ def squarefree_sieve(n: int) -> bytearray:
         flags[step::step] = bytearray(len(range(step, n + 1, step)))
         k += 1
     return flags
+
+
+def squarefree_parts_by_trial_division(t: int) -> tuple[int, int]:
+    """Oracle: (u, d) with t = u^2 * d and d squarefree, t >= 1, by trial
+    division with every k >= 2 while k^2 is at most what is left."""
+    u = d = 1
+    k = 2
+    while k * k <= t:
+        e = 0
+        while t % k == 0:
+            t //= k
+            e += 1
+        u *= k ** (e // 2)
+        d *= k ** (e % 2)
+        k += 1
+    return u, d * t
 
 
 def fundamental_range(lo: int, hi: int) -> list[int]:

@@ -7,6 +7,7 @@ are verified inline where they matter.
 """
 
 import hashlib
+import math
 import re
 from dataclasses import fields
 
@@ -26,6 +27,7 @@ from ccsieve.honda import (
 )
 from ccsieve.intmath import icbrt, is_squarefree
 from ccsieve.classnum import three_divides_real_class_number
+from reference import cubic_root_by_divisors
 
 
 class TestValidateWitness:
@@ -56,6 +58,21 @@ class TestValidateWitness:
         # but 940 = 2^2 * 235
         with pytest.raises(ValueError, match=r"^squarefree: d = 940 is not a squarefree integer >= 2$"):
             validate_witness(940, 7, 4, 1)
+
+    def test_rejects_each_row_at_1e6_with_its_square_moved_into_d(self):
+        # (d*u^2, m, n, 1) keeps the identity, gcd(m, 3n) = 1 and the
+        # rootless cubic of a row with u > 1, so only the squarefree check
+        # fails; the d*u^2 have 10 to 24 bits, up to the table's entries
+        # for the primes below 2^8
+        rows = [(d * u * u, m, n) for d, m, n, u in enumerate_discriminants(10**6) if u > 1]
+        assert len(rows) == 5_252
+        for t, m, n in rows:
+            assert 27 * n * n + t == 4 * m**3
+            assert math.gcd(m, 3 * n) == 1
+            assert not cubic_root_by_divisors(m, n)
+            message = f"^squarefree: d = {t} is not a squarefree integer >= 2$"
+            with pytest.raises(ValueError, match=message):
+                validate_witness(t, m, n, 1)
 
     def test_rejection_order_is_fixed(self):
         # (d, m, n, u) = (1, 7, 6, 20): identity holds (972 + 400 = 1372)

@@ -18,10 +18,29 @@ from ccsieve.intmath import (
     is_squarefree,
     squarefree_decompose,
 )
-from reference import cubic_root_by_divisors, mod3_shortcut_no_root, squarefree_sieve
+from reference import (
+    cubic_root_by_divisors,
+    mod3_shortcut_no_root,
+    squarefree_parts_by_trial_division,
+    squarefree_sieve,
+)
 
 
-_PRIMES = [p for p in range(2, 3000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def _primes_from(lo: int, count: int) -> list[int]:
+    """The first `count` primes at or above lo."""
+    primes = []
+    while len(primes) < count:
+        if _is_prime(lo):
+            primes.append(lo)
+        lo += 1
+    return primes
+
+
+_PRIMES = [p for p in range(2, 3000) if _is_prime(p)]
 
 
 class TestIcbrt:
@@ -103,42 +122,71 @@ class TestSquarefreeDecompose:
             is_squarefree(0)
 
     def test_primes_at_the_small_prime_bound(self):
-        # 997 is the last prime below 1000, 1009 and 1013 the first two above
-        # it, so 997 comes out by gcds and 1009, 1013 stay in the cofactor
-        assert all(p % q for p in (997, 1009, 1013) for q in range(2, 32))
+        # 1021 is the last prime below 2^10 = 1024, 1031 and 1033 the first
+        # two above it, so 1021 comes out by gcds (for a t of 28 bits or
+        # more) and 1031, 1033 stay in the cofactor
+        assert all(p % q for p in (1021, 1031, 1033) for q in range(2, 33))
         cases = {
-            997**2: (997, 1),
-            1009**2: (1009, 1),
-            1009**2 * 1013: (1009, 1013),
-            997 * 1009: (1, 997 * 1009),
-            997**3 * 1009**3: (997 * 1009, 997 * 1009),
+            1021**2: (1021, 1),
+            1031**2: (1031, 1),
+            1031**2 * 1033: (1031, 1033),
+            1021 * 1031: (1, 1021 * 1031),
+            1021**3 * 1031**3: (1021 * 1031, 1021 * 1031),
         }
         for t, parts in cases.items():
             assert squarefree_decompose(t) == parts, t
             assert is_squarefree(t) == (parts[0] == 1), t
 
     def test_is_squarefree_at_the_isqrt_bound(self):
-        # a cofactor free of the primes below 1000 is settled by one isqrt
-        # below 1000^3 = 10^9 and by trial division above it; 31607 and
-        # 31627 are the primes next to sqrt(10^9) = 31622.8
-        assert all(p % q for p in (1009, 1013, 1019, 31607, 31627) for q in range(2, 178))
-        below = [1009**2, 1009 * 1013, 31607**2]
-        above = [1009**3, 1009 * 1013 * 1019, 31627**2]
-        assert max(below) < 10**9 < min(above)
+        # a cofactor free of the primes below 1024 is settled by one isqrt
+        # below 1024^3 = 2^30 and by trial division above it; 32749 and
+        # 32771 are the primes next to sqrt(2^30) = 32768
+        assert all(p % q for p in (1031, 1033, 1039, 32749, 32771) for q in range(2, 182))
+        below = [1031**2, 1031 * 1033, 32749**2]
+        above = [1031**3, 1031 * 1033 * 1039, 32771**2]
+        assert max(below) < 2**30 < min(above)
         for t in below + above + [2 * 3 * t for t in below + above]:
             assert is_squarefree(t) == (squarefree_decompose(t)[0] == 1), t
         assert [is_squarefree(t) for t in below] == [False, True, False]
         assert [is_squarefree(t) for t in above] == [False, True, False]
 
     def test_cofactor_above_the_trial_division_bound(self):
-        # 1013^2 * (10^9 + 7) has no prime factor below 1000 and exceeds
-        # 1000^3, so only trial division from 1001 upward finds the square
+        # 1031^2 * (10^9 + 7) has no prime factor below 1024 and exceeds
+        # 2^30, so only trial division from 1025 upward finds the square
         big_prime = 10**9 + 7
         assert all(big_prime % p for p in range(2, math.isqrt(big_prime) + 1))
-        t = 1013**2 * big_prime
-        assert squarefree_decompose(t) == (1013, big_prime)
+        t = 1031**2 * big_prime
+        assert squarefree_decompose(t) == (1031, big_prime)
         assert not is_squarefree(t)
-        assert is_squarefree(1013 * big_prime)
+        assert is_squarefree(1031 * big_prime)
+
+    def test_every_table_entry_against_trial_division(self):
+        # a t of b <= 30 bits takes its gcd against the primes below
+        # 2^ceil(b/3), a longer one against those below 2^10; q < q2 are
+        # the first primes at or above 2^ceil(b/3), so q^2, q*q2 and q^3
+        # leave a cofactor that one isqrt must settle, or from b = 31 on
+        # (q^3 above 2^30) the trial division past 2^10
+        for b in [*range(1, 32), 40]:
+            q, q2 = _primes_from(1 << -(-b // 3), 2)
+            for t in (2**b - 1, 2**b, q * q, q * q2, q**3):
+                parts = squarefree_parts_by_trial_division(t)
+                assert squarefree_decompose(t) == parts, (b, t)
+                assert is_squarefree(t) == (parts[0] == 1), (b, t)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(2**20, 2**34)
+        | st.sampled_from(_PRIMES).flatmap(
+            lambda q: st.integers(-(-(2**20) // (q * q)), 2**34 // (q * q)).map(lambda s: q * q * s)
+        )
+    )
+    def test_against_trial_division_past_the_table(self, t):
+        # t from 21 to 35 bits: the table's upper entries and the fallback
+        # to the primes below 2^10 just past it; the second strategy puts
+        # a prime square, often one next to a table bound, into t
+        parts = squarefree_parts_by_trial_division(t)
+        assert squarefree_decompose(t) == parts, t
+        assert is_squarefree(t) == (parts[0] == 1), t
 
 
 class TestCubicRoot:
@@ -183,6 +231,24 @@ class TestCubicRoot:
                 for k in (n - 1, n + 1):
                     if k >= 1 and k not in ns:
                         assert cubic_has_integer_root(m, k) == cubic_root_by_divisors(m, k)
+
+    def test_both_root_signs_next_to_the_three_root_bound(self):
+        # below m = 4096 an n up to hi = isqrt(4m^3/27) is looked up in a
+        # cached set of root values of both signs, and a larger n is
+        # scanned for a negative root -y, y*(y^2 - m) = n; 342 and 736
+        # are derived_m_max of the sweeps to 10^7 and 10^8
+        for m in (1, 2, 3, 4, 5, 7, 342, 736, 737, 4095, 4096):
+            hi = math.isqrt(4 * m**3 // 27)
+            y = math.isqrt(m) + 1
+            while y * (y * y - m) <= hi:
+                y += 1
+            # y - 1 and y give the largest negative-root value up to hi
+            # (or a value <= 0 when there is none) and the first above it
+            ns = set(range(hi - 2, hi + 3))
+            for v in ((y - 1) * ((y - 1) ** 2 - m), y * (y * y - m)):
+                ns |= {v - 1, v, v + 1}
+            for n in sorted(k for k in ns if k >= 1):
+                assert cubic_has_integer_root(m, n) == cubic_root_by_divisors(m, n), (m, n)
 
     @settings(deadline=None, max_examples=100)
     @given(st.lists(st.integers(2, 5000) | st.integers(2, 10**5), min_size=1, max_size=3), st.data())

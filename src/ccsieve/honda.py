@@ -10,18 +10,18 @@ decomposition t = 4*m^3 - 27*n^2 = d*u^2 discover u and d.
 The sweep sieves one row (fixed m, every n with 27*n^2 < 4*m^3) at a time.
 Rows with 3 | m are skipped, since gcd(m, 3n) = 3 there.  For each prime
 5 <= p with p^3 <= 4*m^3, p divides t(n) exactly on the one or two
-residue classes 27*n^2 = 4*m^3 (mod p), found from a square-root table
-mod p and Hensel-lifted to every p^k; walking those progressions records
-the parity of each n's exponent of p.  The prime 2 is read off t(n)
-directly (only even n, odd m), and 3 never divides t(n) on a kept row.  A
-prime p | m divides t(n) only when p | n, which the gcd condition
+residue classes 27*n^2 = 4*m^3 (mod p), found in a table of r indexed by
+27*r^2 mod p and Hensel-lifted to every p^k; walking those progressions
+records the parity of each n's exponent of p.  The prime 2 is read off
+t(n) directly (only even n, odd m), and 3 never divides t(n) on a kept
+row.  A prime p | m divides t(n) only when p | n, which the gcd condition
 excludes, so the same pass over the row's primes drops the n that share
 a prime with m.  The cofactor left has no prime factor p with p^3 <=
 4*m^3, while t(n) < 4*m^3, so it is 1, squarefree or a prime squared,
-and one isqrt settles (u, d).  The n for which X^3 - m*X + n has an
-integer root x are excluded per row as the set of x*(m - x^2), so no
-pair is trial-divided.  The square-root tables cover the primes with
-p^3 <= 4*m_max^3; they are built once per sweep, never at import.
+and one isqrt settles (u, d).  `intmath.cubic_root_values` gives each
+row its last n and the n it drops for a rooted cubic, so no pair is
+trial-divided.  The root tables cover the primes with p^3 <= 4*m_max^3;
+they are built once per sweep, never at import.
 `enumerate_discriminants` runs the rows in this process and selects the
 family; `_sieve_row` does one row's arithmetic.
 
@@ -38,7 +38,7 @@ from itertools import compress
 from pathlib import Path
 from typing import ClassVar, Iterable
 
-from .intmath import cubic_has_integer_root, icbrt, is_squarefree, primes_upto
+from .intmath import cubic_has_integer_root, cubic_root_values, icbrt, is_squarefree, primes_upto
 
 _WITNESS_HEADER = "d,m,n,u"
 
@@ -92,38 +92,23 @@ def derived_m_max(X: int, config: EnumConfig) -> int:
     return icbrt(total // 4)
 
 
-def _root_tables(p_max: int) -> list[tuple[int, int, list[int]]]:
-    """(p, 1/27 mod p, roots) for the primes 5 <= p <= p_max, where
-    roots[v] is the r in [1, p/2) with r^2 = v (mod p), or 0 when v is 0
-    or a non-residue."""
+def _root_tables(p_max: int) -> list[tuple[int, list[int]]]:
+    """(p, roots) for the primes 5 <= p <= p_max, where roots[v] is the r
+    in [1, p/2) with 27*r^2 = v (mod p), or 0 if there is none."""
     tables = []
     for p in primes_upto(p_max)[2:]:
         roots = [0] * p
         for r in range(1, (p + 1) // 2):
-            roots[r * r % p] = r
-        tables.append((p, pow(27, -1, p), roots))
+            roots[27 * r * r % p] = r
+        tables.append((p, roots))
     return tables
 
 
-def _cubic_root_ns(m: int, n_hi: int) -> set[int]:
-    """The n in [1, n_hi] for which X^3 - m*X + n has an integer root.
-
-    A root x gives n = x*(m - x^2): either x = r > 0 with r^2 < m, or
-    x = -s with s^2 > m and n = s*(s^2 - m), which grows with s.
-    """
-    ns = {r * (m - r * r) for r in range(1, math.isqrt(m - 1) + 1)}
-    s = math.isqrt(m) + 1
-    while s * (s * s - m) <= n_hi:
-        ns.add(s * (s * s - m))
-        s += 1
-    return {n for n in ns if n <= n_hi}
-
-
 def _sieve_row(
-    m: int, n_hi: int, tables: list[tuple[int, int, list[int]]]
+    m: int, n_hi: int, rooted: frozenset[int], tables: list[tuple[int, list[int]]]
 ) -> tuple[bytearray, list[int], list[int]]:
     """One row of the sweep, 3 not dividing m: the mask keep over n in
-    [0, n_hi], 1 where gcd(m, 3n) = 1 and X^3 - m*X + n is rootless; and
+    [0, n_hi], 1 where gcd(m, 3n) = 1 and n is not in rooted; and
     lists d_part, u_part with d_part[n] * u_part[n]^2 the part of
     t(n) = 4*m^3 - 27*n^2 over the primes p with p^3 <= 4*m^3,
     d_part[n] squarefree, where kept.
@@ -148,10 +133,10 @@ def _sieve_row(
     else:
         keep[::2] = bytes(n_hi // 2 + 1)
     p_hi = icbrt(t4)
-    for p, inv27, roots in tables:
+    for p, roots in tables:
         if p > p_hi:
             break
-        v = t4 * inv27 % p
+        v = t4 % p
         r = roots[v]
         if not r:
             if not v:  # p | m, so gcd(m, 3n) = 1 drops n = 0 (mod p)
@@ -173,7 +158,7 @@ def _sieve_row(
             n += (t4 - 27 * n * n) // pk * inv % p * pk  # Hensel step to p^(k+1)
             pk *= p
             odd = not odd
-    for n in _cubic_root_ns(m, n_hi):
+    for n in rooted:
         keep[n] = 0
     return keep, d_part, u_part
 
@@ -200,8 +185,8 @@ def enumerate_discriminants(
         if m % 3 == 0 or (config.shortcut_only and m % 3 != 1):
             continue
         t4 = 4 * m * m * m
-        n_hi = isqrt((t4 - 1) // 27)  # the largest n with 27*n^2 < 4*m^3
-        keep, d_part, u_part = _sieve_row(m, n_hi, tables)
+        n_hi, rooted = cubic_root_values(m)  # n_hi: the largest n with 27*n^2 < 4*m^3
+        keep, d_part, u_part = _sieve_row(m, n_hi, rooted, tables)
         if config.shortcut_only:
             keep[::3] = bytes(n_hi // 3 + 1)
         for n in compress(range(n_hi + 1), keep):

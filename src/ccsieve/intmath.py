@@ -4,9 +4,9 @@ Everything here is pure integer arithmetic on value inputs; no floats leak
 into results, and every function is safe to call from concurrent workers.
 The squarefree kernels take one gcd against a product of small primes
 sized to t's bit length, from a constant table built at import.  The one
-state is `cubic_has_integer_root`'s cache of the root values of both
-signs per m: it lives in each process (a pool worker fills its own), and
-`lru_cache` keeps calls from several threads safe.
+state is `cubic_has_integer_root`'s cache of `cubic_root_values` per m:
+it lives in each process (a pool worker fills its own), and `lru_cache`
+keeps calls from several threads safe.
 """
 
 from __future__ import annotations
@@ -139,17 +139,17 @@ def is_squarefree(t: int) -> bool:
     return _split_large(c)[0] == 1
 
 
-# The m below which cubic_has_integer_root keeps a set of root values per
-# m, one set each: the m <= 3,420 of a sweep to X = 10^10 are all in, and
-# no set has more than 73 elements.
-_ROOT_SET_M = 4096
-
-
-@functools.lru_cache(maxsize=_ROOT_SET_M)
-def _root_ns(m: int) -> tuple[int, frozenset[int]]:
+def cubic_root_values(m: int) -> tuple[int, frozenset[int]]:
     """(hi, the n in [1, hi] for which X^3 - m*X + n has an integer root)
-    with hi = isqrt(4m^3/27): the x*(m - x^2) for 1 <= x <= isqrt(m - 1)
-    and the y*(y^2 - m) <= hi for y > isqrt(m), which grow with y."""
+    for m >= 1, with hi = isqrt(4m^3/27).
+
+    A root x gives n = x*(m - x^2).  A positive root has x^2 < m, so
+    x <= isqrt(m - 1), and n <= hi, since sqrt(4m^3/27) is the largest
+    x*(m - x^2) over the reals.  A negative root -y has y^2 > m and
+    n = y*(y^2 - m), which grows with y there; the set takes those up to
+    hi.  When 3 does not divide m, 27 does not divide 4m^3, so hi is the
+    largest n with 27n^2 < 4m^3: the last n of the Honda sweep's row m.
+    """
     hi = math.isqrt(4 * m * m * m // 27)
     ns = [x * (m - x * x) for x in range(1, math.isqrt(m - 1) + 1)]
     y = math.isqrt(m) + 1
@@ -159,23 +159,26 @@ def _root_ns(m: int) -> tuple[int, frozenset[int]]:
     return hi, frozenset(ns)
 
 
+# cubic_has_integer_root caches cubic_root_values(m) for m below this, at
+# most 73 elements a set, which covers the m <= 3,420 of a sweep to 10^10.
+# The sweep reads each m once and calls it uncached: sets cached amid its
+# rows held 4 MB of the rows' freed memory at X = 10^7.
+_ROOT_SET_M = 4096
+_cached_root_values = functools.lru_cache(maxsize=_ROOT_SET_M)(cubic_root_values)
+
+
 def cubic_has_integer_root(m: int, n: int) -> bool:
     """True iff X^3 - m*X + n has an integer root, for m, n >= 1.
 
-    A root x gives n = x*(m - x^2).  A positive root has x^2 < m, so
-    x <= isqrt(m - 1), and n <= hi = isqrt(4m^3/27), since
-    sqrt(4m^3/27) is the largest x*(m - x^2) over the reals.  A negative
-    root -y has y^2 > m and n = y*(y^2 - m) < y^3, which grows with y
-    there.  Below _ROOT_SET_M an n <= hi (every n with 27n^2 < 4m^3, so
-    every row of the sweep) is looked up in the cached set of the root
-    values of both signs up to hi.  Above hi only a negative root is
-    possible; from _ROOT_SET_M on the positive roots are compared with n
-    one by one, so a large m holds no memory.  The scan for -y steps up
-    from max(isqrt(m - 1) + 1, icbrt(n)) while y*(y^2 - m) is below n,
-    with no divisor list.
+    Below _ROOT_SET_M an n <= hi is looked up in cached `cubic_root_values`.
+    Above hi only a negative root -y is possible; from _ROOT_SET_M on the
+    positive roots x are compared with n one by one, so a large m holds
+    no memory.  As n = y*(y^2 - m) < y^3, the scan for -y steps up from
+    max(isqrt(m - 1) + 1, icbrt(n)) while y*(y^2 - m) is below n, with
+    no divisor list.
     """
     if m < _ROOT_SET_M:
-        hi, ns = _root_ns(m)
+        hi, ns = _cached_root_values(m)
         if n <= hi:
             return n in ns
     elif any(x * (m - x * x) == n for x in range(1, math.isqrt(m - 1) + 1)):

@@ -3,7 +3,7 @@
 Subcommands: enumerate (witness sweep), verify (re-validation plus oracle
 check of every emitted d), count (both count series plus a growth-slope
 fit), falsify-scholz (counterexamples to the imaginary-to-real reflection
-direction).  Each setting is a RunConfig field, set by its flag or by a
+direction).  Each setting is a name of _SETTINGS, set by its flag or by a
 line of a key=value config file, flags winning.  Exit codes: 0 success,
 1 internal arithmetic fault, 2 configuration error, 3 verification
 failure, 4 empty falsification.  `main` times each command and ends its
@@ -17,8 +17,8 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 from .counting import (
     PINNED_SLOPE_WINDOW,
@@ -70,28 +70,29 @@ def _parse_out(text: str) -> Path:
     return Path(text)
 
 
-def _setting(default, parse, help=None):
-    """A run setting: its default, the parser of its flag and file value,
-    and its --help text."""
-    return field(default=default, metadata={"parse": parse, "help": help})
-
-
-@dataclass
-class RunConfig:
-    """Every run setting.  A field name is the config-file key and, with
-    dashes, the flag; a bool field is a flag that takes no value."""
-
-    x_max: int = _setting(1_000_000, int)
-    checkpoints: tuple[int, ...] = _setting(
-        DEFAULT_CHECKPOINTS, _parse_checkpoints, "comma list of X values"
-    )
-    truth_x_max: int = _setting(10_000, int)
-    scholz_bound: int = _setting(100, int)
-    workers: int = _setting(1, int, "processes for the oracle sweeps of count and falsify-scholz")
-    out: Path = _setting(Path("out"), _parse_out, "output directory (or env CCS_OUT)")
-    shortcut_only: bool = _setting(
+# Every run setting: its default, the one parser of its flag and file
+# value, and its --help text.  A name is the config-file key and, with
+# dashes, the flag; a setting whose default is a bool is a flag that takes
+# no value.
+_SETTINGS = {
+    "x_max": (1_000_000, int, None),
+    "checkpoints": (DEFAULT_CHECKPOINTS, _parse_checkpoints, "comma list of X values"),
+    "truth_x_max": (10_000, int, None),
+    "scholz_bound": (100, int, None),
+    "workers": (1, int, "processes for the oracle sweeps of count and falsify-scholz"),
+    "out": (Path("out"), _parse_out, "output directory (or env CCS_OUT)"),
+    "shortcut_only": (
         False, _parse_bool, "restrict the sweep to pairs with 3|m-1 and 3 not dividing n"
-    )
+    ),
+}
+
+
+class RunConfig(SimpleNamespace):
+    """One attribute per name of _SETTINGS: the value given, else the default."""
+
+    def __init__(self, **values) -> None:
+        defaults = {name: default for name, (default, _, _) in _SETTINGS.items()}
+        super().__init__(**(defaults | values))
 
     def enum_config(self) -> EnumConfig:
         """The Honda sweep's box, capped at x_max."""
@@ -124,20 +125,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     empty), then the config file, then its flag; within the file the last
     line for a key wins, and of a repeated flag the last value.  Every
     given value is parsed, also one that a later one overrides."""
-    settings = {f.name: f for f in fields(RunConfig)}
     env_out = os.environ.get("CCS_OUT")
     pairs = [("out", env_out)] if env_out else []
     if args.config is not None:
         pairs += _load_config_file(Path(args.config))
-    pairs += [(key, value) for key in settings for value in getattr(args, key) or ()]
-    cfg = RunConfig()
+    pairs += [(key, value) for key in _SETTINGS for value in getattr(args, key) or ()]
+    values = {}
     for key, value in pairs:
-        if key not in settings:
+        if key not in _SETTINGS:
             raise ConfigurationError(f"unknown config key: {key}")
+        _, parse, _ = _SETTINGS[key]
         try:
-            setattr(cfg, key, settings[key].metadata["parse"](value))
+            values[key] = parse(value)
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
+    cfg = RunConfig(**values)
     _validate_config(cfg)
     return cfg
 
@@ -275,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         sp = sub.add_parser(name, help=fn.__doc__)
-        for f in fields(RunConfig):
-            flag = "--" + f.name.replace("_", "-")
-            if isinstance(f.default, bool):  # a flag without a value, read as "true"
-                sp.add_argument(flag, action="append_const", const="true", help=f.metadata["help"])
+        for key, (default, _, help_text) in _SETTINGS.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):  # a flag without a value, read as "true"
+                sp.add_argument(flag, action="append_const", const="true", help=help_text)
             else:
-                sp.add_argument(flag, action="append", help=f.metadata["help"])
+                sp.add_argument(flag, action="append", help=help_text)
         sp.add_argument("--config", help="key=value config file")
     return parser
 

@@ -6,20 +6,20 @@ d with 3 | h(d) from the form-class oracle.  The truth series must
 dominate the sieve series pointwise.  The falsifier searches for
 squarefree d where 3 divides the class number of Q(sqrt(-3d)) but not
 that of Q(sqrt(d)), which kills the reflection-style implication from
-the imaginary side to the real side.  Both oracle sweeps run on the
-package's one process pool, `parallel_map`.
+the imaginary side to the real side.  Both oracle sweeps run on
+`parallel_map`, which runs the first chunk of a range in this process
+and forks one child for each other chunk.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
+import signal
 import statistics
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 from .classnum import (
     PRACTICAL_DISCRIMINANT_CAP,
@@ -41,16 +41,14 @@ SCHOLZ_BOUND_CAP = PRACTICAL_DISCRIMINANT_CAP // 12
 PINNED_SLOPE_WINDOW = (1_000, 1_000_000)
 
 
-@dataclass(frozen=True)
-class CountSeries:
+class CountSeries(NamedTuple):
     """Ordered (X, count) checkpoints for an N-type counting function."""
 
     label: str
     checkpoints: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(NamedTuple):
     """Least-squares fit of log(count) against log(X); window is the range
     of X of the checkpoints the fit used."""
 
@@ -107,18 +105,96 @@ def _chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return chunks
 
 
+def _run_chunk(
+    fn: Callable[[int, int], list], a: int, b: int, read_end: int, write_end: int
+) -> NoReturn:
+    """The body of a forked child: write b"r" and the marshalled fn(a, b)
+    to the pipe, or, if fn raises, b"e" and the pickled exception, then
+    exit, with code 0 only once the whole message is written."""
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            message = b"r" + marshal.dumps(fn(a, b))
+        except BaseException as exc:
+            import pickle  # only a failing chunk pays for the import
+
+            message = b"e" + pickle.dumps(exc)
+        with open(write_end, "wb") as out:
+            out.write(message)
+        code = 0
+    finally:
+        os._exit(code)  # runs none of the caller's cleanup and flushes no inherited buffer
+
+
+class _ForkedChunk:
+    """fn(a, b) running in a forked child, which sends its list, or the
+    exception fn raised, back through a pipe."""
+
+    def __init__(self, fn: Callable[[int, int], list], a: int, b: int) -> None:
+        self.chunk = (a, b)
+        read_end, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            _run_chunk(fn, a, b, read_end, write_end)
+        os.close(write_end)
+        self.read_end = read_end
+
+    def join(self) -> list:
+        """Read the child's message, reap the child, and return its list
+        or raise its exception; a child that ended without a whole message
+        is a RuntimeError naming the chunk."""
+        try:
+            with open(self.read_end, "rb") as inp:
+                message = inp.read()
+        finally:
+            status = os.waitpid(self.pid, 0)[1]
+        if status != 0:
+            a, b = self.chunk
+            raise RuntimeError(
+                f"the child for [{a}, {b}] ended without a result (wait status {status})"
+            )
+        if message[:1] == b"e":
+            import pickle  # the child's own bytes, unpickled only on its error path
+
+            raise pickle.loads(message[1:])
+        return marshal.loads(message[1:])
+
+    def kill(self) -> None:
+        """End the child, whatever it is doing, and reap it."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.close(self.read_end)
+        os.waitpid(self.pid, 0)
+
+
 def parallel_map(fn: Callable[[int, int], list], lo: int, hi: int, workers: int) -> list:
     """The lists fn(a, b) over the chunks [a, b] of [lo, hi], concatenated
-    in range order.  There are at most min(workers, CPU count) chunks; a
-    lone chunk runs in this process, more run on a pool of one process
-    per chunk."""
+    in range order.  There are at most min(workers, CPU count) chunks, and
+    one where os.fork is missing (Windows).  This process runs the first
+    chunk and forks one child for each other chunk; no child outlives the
+    call, and when anything raises the children left are killed."""
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    chunks = _chunks(lo, hi, min(workers, os.cpu_count() or 1))
+    chunks = _chunks(lo, hi, min(workers, (os.cpu_count() or 1) if hasattr(os, "fork") else 1))
     if len(chunks) <= 1:
         return fn(lo, hi)
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(chain.from_iterable(pool.map(fn, *zip(*chunks))))
+    pending = []
+    try:
+        for a, b in chunks[1:]:
+            pending.append(_ForkedChunk(fn, a, b))
+        results = fn(*chunks[0])
+        while pending:
+            # a child leaves `pending` before its join, which reaps it even if it raises
+            results += pending.pop(0).join()
+        return results
+    finally:
+        for child in pending:
+            child.kill()
 
 
 def _truth_chunk(lo: int, hi: int) -> list[int]:

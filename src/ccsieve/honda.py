@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import ClassVar, Iterable
+from typing import Iterable, NamedTuple
 
 from .intmath import cubic_has_integer_root, cubic_root_values, icbrt, is_squarefree, primes_upto
 
@@ -47,19 +46,19 @@ class ConfigurationError(ValueError):
     """A run configuration that must be rejected before any sweep starts."""
 
 
-@dataclass(frozen=True)
-class EnumConfig:
+class EnumConfig(NamedTuple):
     """Knobs of the (m, n) sweep: the cap on X and the shortcut filter.
 
-    The box is fixed, by the class constants u_cap and n_max: every
+    The box is fixed, by the class constants u_cap and n_max (class
+    attributes, not fields, so no caller can set them): every
     witness with u <= u_cap, n <= n_max and d <= X satisfies 4*m^3 <=
     X*u_cap^2 + 27*n_max^2, which caps m.  The n sweep itself is not
     capped (all n with 27*n^2 < 4*m^3 are visited), so the box may well
     discover witnesses beyond that guaranteed sub-family.
     """
 
-    u_cap: ClassVar[int] = 4
-    n_max: ClassVar[int] = 32
+    u_cap = 4
+    n_max = 32
     x_cap: int = 1_000_000
     shortcut_only: bool = False
 
@@ -71,7 +70,7 @@ def validate_witness(d: int, m: int, n: int, u: int) -> None:
     Order: all fields positive, exact identity, gcd(m, 3n) = 1, no
     integer cubic root, then d squarefree and >= 2.
     """
-    if min(d, m, n, u) < 1:
+    if d < 1 or m < 1 or n < 1 or u < 1:
         raise ValueError("witness components must be positive")
     lhs = 27 * n * n + d * u * u
     rhs = 4 * m * m * m

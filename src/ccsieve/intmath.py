@@ -5,7 +5,7 @@ into results, and every function is safe to call from concurrent workers.
 The squarefree kernels take one gcd against a product of small primes
 sized to t's bit length, from a constant table built at import.  The one
 state is `cubic_has_integer_root`'s cache of `cubic_root_values` per m:
-it lives in each process (a pool worker fills its own), and `lru_cache`
+it lives in each process (a forked child fills its own), and `lru_cache`
 keeps calls from several threads safe.
 """
 

@@ -12,8 +12,8 @@ the sufficient condition for rootlessness behind --shortcut-only;
 cubic_root_by_divisors is the divisor scan that cubic_has_integer_root
 replaced, squarefree_sieve marks the squarefree integers by sieving,
 squarefree_parts_by_trial_division splits one integer by trial
-division, and chunks_by_prefix is the prefix-sum split that the pool's
-closed-form chunking must reproduce.
+division, and chunks_by_prefix is the prefix-sum split that
+parallel_map's closed-form chunking must reproduce.
 Import with `from reference import ...`: pytest puts tests/ on sys.path.
 """
 

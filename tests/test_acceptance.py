@@ -17,7 +17,7 @@ lines as they print.  Tolerances are pinned here and nowhere else:
      0 < D <= 500; widened-window recount stable for -500 <= D < 0;
      under 30 s
   8. byte-identical artifacts for workers 1, 2, 8: witnesses.csv from
-     enumerate (one process whatever the count), and the pool paths,
+     enumerate (one process whatever the count), and the forked paths,
      n_truth.csv from count and counterexamples.csv from falsify-scholz
 """
 

@@ -1,8 +1,8 @@
 """CLI tests: exit codes, artifact bytes, config precedence, determinism.
 
-Commands are driven through main(argv) for speed; two tests go through a
-real subprocess to cover the module entry point, one with a closed output
-pipe.
+Commands are driven through main(argv) for speed; three tests go through
+a real subprocess: two cover the module entry point, one of them with a
+closed output pipe, and one the modules that importing the CLI loads.
 """
 
 import hashlib
@@ -28,6 +28,7 @@ from ccsieve.counting import PINNED_SLOPE_WINDOW, fit_slope, honda_count_series
 from ccsieve.honda import EnumConfig, enumerate_discriminants, read_witnesses_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 
 def run(*argv):
     return main(list(argv))
@@ -634,6 +635,19 @@ class TestStageClock:
 
 
 class TestSubprocessEntry:
+    def test_import_loads_no_unused_machinery(self):
+        # a process pool, dataclasses or pickling at import would cost
+        # every command its set-up time; -S keeps site's imports out
+        unused = ("concurrent", "multiprocessing", "dataclasses", "inspect",
+                  "pickle", "logging", "socket", "subprocess")
+        code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import ccsieve.cli; "
+                f"print(*[m for m in {unused!r} if m in sys.modules])")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "ccsieve", "enumerate", "--x-max", "300",

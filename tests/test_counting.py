@@ -1,7 +1,8 @@
-"""Count-series, slope-fit, falsifier and process-pool tests."""
+"""Count-series, slope-fit, falsifier and parallel_map tests."""
 
 import math
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -241,64 +242,122 @@ def _span(lo, hi):
     return list(range(lo, hi + 1))
 
 
-CPUS = 64  # the CPU count the pool tests pin, whatever the machine has
+CPUS = 64  # the CPU count the parallel_map tests pin, whatever the machine has
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool by an in-process map, pin os.cpu_count to
-    CPUS and record the size each pool is asked for, so no test starts a
-    large pool."""
-    sizes = []
+def forked(monkeypatch):
+    """Replace the fork step by an in-process run of the chunk, pin
+    os.cpu_count to CPUS and record each chunk that would have gone to a
+    child, so no test forks more than one child."""
+    chunks = []
     monkeypatch.setattr(os, "cpu_count", lambda: CPUS)
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InlineChunk:
+        def __init__(self, fn, a, b):
+            chunks.append((a, b))
+            self.result = fn(a, b)
 
-        def __enter__(self):
-            return self
+        def join(self):
+            return self.result
 
-        def __exit__(self, *exc):
-            return None
+        def kill(self):
+            pass
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+    monkeypatch.setattr(counting, "_ForkedChunk", InlineChunk)
+    return chunks
 
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
-    return sizes
+
+def _fails_past_2(lo, hi):
+    """Raises in every chunk but the first, which the caller runs."""
+    if lo > 2:
+        raise ArithmeticError(f"injected at {lo}")
+    return _span(lo, hi)
+
+
+def _caller_fails(lo, hi):
+    """Raises in the caller's chunk; a child's chunk outlasts any test."""
+    if lo == 2:
+        raise ArithmeticError("injected in the caller")
+    time.sleep(60)
+    return _span(lo, hi)
+
+
+def _child_exits(lo, hi):
+    """A child ends at once, before it can send anything."""
+    if lo > 2:
+        os._exit(3)
+    return _span(lo, hi)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParallelMap:
-    def test_results_in_range_order(self, pool_sizes):
+    def test_results_in_range_order(self, forked):
         for workers in (1, 2, 3, 64):
+            forked.clear()
             assert parallel_map(_span, 2, 5_000, workers) == _span(2, 5_000)
-        assert pool_sizes == [2, 3, 64]
+            # the caller runs the first chunk and forks one child for each other one
+            assert forked == _chunks(2, 5_000, workers)[1:]
+            assert len(forked) == min(workers, CPUS) - 1
 
-    def test_pool_size_equals_chunk_count(self, pool_sizes):
+    def test_pool_size_equals_chunk_count(self, forked):
         for lo, hi, workers in ((2, 20_000, 2), (2, 20_000, 5), (2, 20_000, 64), (5, 7, 64)):
+            forked.clear()
             assert parallel_map(_span, lo, hi, workers) == _span(lo, hi)
-            assert len(_chunks(lo, hi, workers)) == pool_sizes[-1]
-        assert pool_sizes[-1] == 3  # [5, 7] holds three indices
+            assert len(forked) == len(_chunks(lo, hi, workers)) - 1
+        assert len(forked) == 2  # [5, 7] holds three indices, one for the caller
 
-    def test_single_chunk_runs_in_process(self, pool_sizes):
+    def test_single_chunk_runs_in_process(self, forked):
         assert parallel_map(_span, 2, 10, 1) == _span(2, 10)
         assert parallel_map(_span, 7, 7, 8) == [7]
         assert parallel_map(_span, 8, 7, 8) == []
-        assert pool_sizes == []
+        assert forked == []
 
-    def test_pool_bounded_by_cpu_count(self, pool_sizes, monkeypatch):
+    def test_pool_bounded_by_cpu_count(self, forked, monkeypatch):
         assert parallel_map(_span, 2, 20_000, 20_000) == _span(2, 20_000)
-        assert pool_sizes == [CPUS]
+        assert len(forked) == CPUS - 1
         # an unknown CPU count allows one process: the range runs in-process
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert parallel_map(_span, 2, 10, 20_000) == _span(2, 10)
-        assert pool_sizes == [CPUS]
+        assert len(forked) == CPUS - 1
+
+    def test_without_fork_runs_in_process(self, forked, monkeypatch):
+        # as on Windows: the whole range is one chunk, whatever the workers
+        monkeypatch.delattr(os, "fork")
+        assert parallel_map(_span, 2, 5_000, 64) == _span(2, 5_000)
+        assert forked == []
 
     def test_two_process_pool_keeps_range_order(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert len(_chunks(2, 3_000, 2)) == 2
         assert parallel_map(_span, 2, 3_000, 2) == _span(2, 3_000)
+        _assert_no_child()
+
+    def test_child_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        (_, _), (a, _) = _chunks(2, 3_000, 2)
+        with pytest.raises(ArithmeticError, match=f"^injected at {a}$"):
+            parallel_map(_fails_past_2, 2, 3_000, 2)
+        _assert_no_child()
+
+    def test_caller_exception_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        t0 = time.monotonic()
+        with pytest.raises(ArithmeticError, match="^injected in the caller$"):
+            parallel_map(_caller_fails, 2, 3_000, 2)
+        _assert_no_child()
+        assert time.monotonic() - t0 < 30  # the child was killed, not waited for
+
+    def test_child_without_result_names_its_chunk(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        (_, _), (a, b) = _chunks(2, 3_000, 2)
+        with pytest.raises(RuntimeError, match=rf"^the child for \[{a}, {b}\] ended without"):
+            parallel_map(_child_exits, 2, 3_000, 2)
+        _assert_no_child()
 
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError):

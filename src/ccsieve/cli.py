@@ -1,7 +1,7 @@
 """Command-line front end: reproducible batch runs emitting CSV artifacts.
 
 Subcommands: enumerate (witness sweep), verify (re-validation plus oracle
-check of every emitted d), count (both count series plus a growth-slope
+check of d <= truth_x_max), count (both count series plus a growth-slope
 fit), falsify-scholz (counterexamples to the imaginary-to-real reflection
 direction).  Each setting is a name of _SETTINGS, set by its flag or by a
 line of a key=value config file, flags winning.  Exit codes: 0 success,
@@ -87,16 +87,9 @@ _SETTINGS = {
 }
 
 
-class RunConfig(SimpleNamespace):
-    """One attribute per name of _SETTINGS: the value given, else the default."""
-
-    def __init__(self, **values) -> None:
-        defaults = {name: default for name, (default, _, _) in _SETTINGS.items()}
-        super().__init__(**(defaults | values))
-
-    def enum_config(self) -> EnumConfig:
-        """The Honda sweep's box, capped at x_max."""
-        return EnumConfig(x_cap=self.x_max, shortcut_only=self.shortcut_only)
+def _sweep_config(cfg: SimpleNamespace) -> EnumConfig:
+    """The Honda sweep's box, capped at x_max."""
+    return EnumConfig(x_cap=cfg.x_max, shortcut_only=cfg.shortcut_only)
 
 
 def _load_config_file(path: Path) -> list[tuple[str, str]]:
@@ -120,17 +113,18 @@ def _load_config_file(path: Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Each setting takes its default, then CCS_OUT (out only, if not
-    empty), then the config file, then its flag; within the file the last
-    line for a key wins, and of a repeated flag the last value.  Every
-    given value is parsed, also one that a later one overrides."""
+def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
+    """One attribute per name of _SETTINGS.  Each takes its default, then
+    CCS_OUT (out only, if not empty), then the config file, then its flag;
+    within the file the last line for a key wins, and of a repeated flag
+    the last value.  Every given value is parsed, also one that a later
+    one overrides."""
     env_out = os.environ.get("CCS_OUT")
     pairs = [("out", env_out)] if env_out else []
     if args.config is not None:
         pairs += _load_config_file(Path(args.config))
     pairs += [(key, value) for key in _SETTINGS for value in getattr(args, key) or ()]
-    values = {}
+    values = {name: default for name, (default, _, _) in _SETTINGS.items()}
     for key, value in pairs:
         if key not in _SETTINGS:
             raise ConfigurationError(f"unknown config key: {key}")
@@ -139,12 +133,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[key] = parse(value)
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
-    cfg = RunConfig(**values)
+    cfg = SimpleNamespace(**values)
     _validate_config(cfg)
     return cfg
 
 
-def _validate_config(cfg: RunConfig) -> None:
+def _validate_config(cfg: SimpleNamespace) -> None:
     if cfg.x_max < 2:
         raise ConfigurationError("x_max must be >= 2")
     if cfg.workers < 1:
@@ -164,9 +158,9 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigurationError(f"out={cfg.out}: {cfg.out / name} is a directory")
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(cfg: SimpleNamespace) -> int:
     """Sweep the witness box up to x_max and write witnesses.csv."""
-    rows = enumerate_discriminants(cfg.x_max, cfg.enum_config())
+    rows = enumerate_discriminants(cfg.x_max, _sweep_config(cfg))
     path = cfg.out / "witnesses.csv"
     write_witnesses_csv(rows, path)
     print(f"witnesses: {len(rows)}")
@@ -174,7 +168,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: SimpleNamespace) -> int:
     """Re-validate every witness row, check that d ascends strictly, and
     oracle-check 3 | h(d) for d <= truth_x_max."""
     path = cfg.out / "witnesses.csv"
@@ -206,12 +200,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def cmd_count(cfg: RunConfig) -> int:
+def cmd_count(cfg: SimpleNamespace) -> int:
     """Write both count series, check domination, print the slope fits
     over the checkpoint range and over the pinned window.  A failed fit
     writes nothing.  With no checkpoint <= truth_x_max there is no truth
     series, and an n_truth.csv left by an earlier run is removed."""
-    honda_series = honda_count_series(cfg.checkpoints, cfg.enum_config())
+    honda_series = honda_count_series(cfg.checkpoints, _sweep_config(cfg))
     try:
         report = fit_slope(honda_series, (cfg.checkpoints[0], cfg.checkpoints[-1]))
     except ValueError as exc:
@@ -247,7 +241,7 @@ def cmd_count(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_falsify_scholz(cfg: RunConfig) -> int:
+def cmd_falsify_scholz(cfg: SimpleNamespace) -> int:
     """Search d <= scholz_bound for reflection counterexamples."""
     items = scholz_counterexample_search(cfg.scholz_bound, workers=cfg.workers)
     path = cfg.out / "counterexamples.csv"

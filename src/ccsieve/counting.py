@@ -19,7 +19,7 @@ import os
 import signal
 import statistics
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .classnum import (
     PRACTICAL_DISCRIMINANT_CAP,
@@ -105,31 +105,11 @@ def _chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return chunks
 
 
-def _run_chunk(
-    fn: Callable[[int, int], list], a: int, b: int, read_end: int, write_end: int
-) -> NoReturn:
-    """The body of a forked child: write b"r" and the marshalled fn(a, b)
-    to the pipe, or, if fn raises, b"e" and the pickled exception, then
-    exit, with code 0 only once the whole message is written."""
-    code = 1
-    try:
-        os.close(read_end)
-        try:
-            message = b"r" + marshal.dumps(fn(a, b))
-        except BaseException as exc:
-            import pickle  # only a failing chunk pays for the import
-
-            message = b"e" + pickle.dumps(exc)
-        with open(write_end, "wb") as out:
-            out.write(message)
-        code = 0
-    finally:
-        os._exit(code)  # runs none of the caller's cleanup and flushes no inherited buffer
-
-
 class _ForkedChunk:
-    """fn(a, b) running in a forked child, which sends its list, or the
-    exception fn raised, back through a pipe."""
+    """fn(a, b) running in a forked child.  The child writes b"r" and the
+    marshalled list to a pipe, or, if fn raises, b"e" and the pickled
+    exception, then exits, with code 0 only once the whole message is
+    written."""
 
     def __init__(self, fn: Callable[[int, int], list], a: int, b: int) -> None:
         self.chunk = (a, b)
@@ -141,7 +121,20 @@ class _ForkedChunk:
             os.close(write_end)
             raise
         if self.pid == 0:
-            _run_chunk(fn, a, b, read_end, write_end)
+            code = 1
+            try:
+                os.close(read_end)
+                try:
+                    message = b"r" + marshal.dumps(fn(a, b))
+                except BaseException as exc:
+                    import pickle  # only a failing chunk pays for the import
+
+                    message = b"e" + pickle.dumps(exc)
+                with open(write_end, "wb") as out:
+                    out.write(message)
+                code = 0
+            finally:
+                os._exit(code)  # runs none of the caller's cleanup and flushes no inherited buffer
         os.close(write_end)
         self.read_end = read_end
 

@@ -383,6 +383,26 @@ class TestFalsifyScholz:
 
 
 class TestConfigResolution:
+    @pytest.mark.parametrize("command", ["enumerate", "verify", "count", "falsify-scholz"])
+    def test_defaults(self, command, tmp_path, monkeypatch):
+        monkeypatch.delenv("CCS_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        parser = cli.build_parser()
+        cfg = cli.resolve_config(parser.parse_args([command]))
+        assert vars(cfg) == {
+            "x_max": 1_000_000,
+            "checkpoints": (100, 1_000, 10_000, 100_000, 1_000_000),
+            "truth_x_max": 10_000,
+            "scholz_bound": 100,
+            "workers": 1,
+            "out": Path("out"),
+            "shortcut_only": False,
+        }
+        # the reference config restates every default
+        reference = ["--config", str(CONFIGS / "reference.cfg")]
+        assert cli.resolve_config(parser.parse_args([command, *reference])) == cfg
+        assert cli._sweep_config(cfg) == EnumConfig(x_cap=1_000_000, shortcut_only=False)
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

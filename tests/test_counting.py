@@ -1,8 +1,10 @@
 """Count-series, slope-fit, falsifier and parallel_map tests."""
 
+import errno
 import math
 import os
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -358,6 +360,29 @@ class TestParallelMap:
         with pytest.raises(RuntimeError, match=rf"^the child for \[{a}, {b}\] ended without"):
             parallel_map(_child_exits, 2, 3_000, 2)
         _assert_no_child()
+
+    def test_failed_fork_leaves_no_child_or_pipe(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        fork = os.fork
+        attempts = []
+
+        def fork_once():
+            attempts.append(None)
+            if len(attempts) == 2:
+                raise OSError(errno.EAGAIN, "injected fork failure")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        fds = Path("/proc/self/fd")
+        open_before = len(list(fds.iterdir())) if fds.is_dir() else None
+        with pytest.raises(OSError, match="injected fork failure") as raised:
+            parallel_map(_span, 2, 3_000, 3)
+        assert raised.value.errno == errno.EAGAIN
+        assert len(attempts) == 2
+        # the child forked first was killed and reaped, and both pipes closed
+        _assert_no_child()
+        if open_before is not None:
+            assert len(list(fds.iterdir())) == open_before
 
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError):

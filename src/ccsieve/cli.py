@@ -170,34 +170,38 @@ def cmd_enumerate(cfg: SimpleNamespace) -> int:
 
 def cmd_verify(cfg: SimpleNamespace) -> int:
     """Re-validate every witness row, check that d ascends strictly, and
-    oracle-check 3 | h(d) for d <= truth_x_max."""
+    oracle-check 3 | h(d) for d <= truth_x_max.  Each row is checked as
+    the reader yields it; its FAIL line is printed once the whole file
+    has parsed, so an unparseable file prints only its FAIL parsing line."""
     path = cfg.out / "witnesses.csv"
     if not path.is_file():
         raise ConfigurationError(f"witness file not found: {path} (run enumerate first)")
-    passed = failed = previous_d = 0
+    checked = passed = previous_d = 0
+    fails = []
     try:
-        rows = read_witnesses_csv(path)
+        # every row's own ValueError is caught inside, so this one is the reader's
+        for d, m, n, u in read_witnesses_csv(path):
+            checked += 1
+            try:
+                validate_witness(d, m, n, u)
+                if d <= previous_d:
+                    raise ValueError(f"d does not exceed the previous row's d = {previous_d}")
+                if d <= cfg.truth_x_max and not three_divides_real_class_number(d):
+                    raise ValueError(f"oracle reports 3 does not divide h({d})")
+                passed += 1
+            except ValueError as exc:
+                fails.append(f"FAIL row {d},{m},{n},{u}: {exc}")
+            previous_d = d
     except ValueError as exc:
         # a present but unparseable artifact is a verification failure
-        print(f"FAIL parsing {path}: {exc}")
-        rows = []
-        failed = 1
-    for d, m, n, u in rows:
-        try:
-            validate_witness(d, m, n, u)
-            if d <= previous_d:
-                raise ValueError(f"d does not exceed the previous row's d = {previous_d}")
-            if d <= cfg.truth_x_max and not three_divides_real_class_number(d):
-                raise ValueError(f"oracle reports 3 does not divide h({d})")
-            passed += 1
-        except ValueError as exc:
-            print(f"FAIL row {d},{m},{n},{u}: {exc}")
-            failed += 1
-        previous_d = d
-    print(f"checked: {len(rows)}")
+        checked = passed = 0
+        fails = [f"FAIL parsing {path}: {exc}"]
+    for line in fails:
+        print(line)
+    print(f"checked: {checked}")
     print(f"passed: {passed}")
-    print(f"failed: {failed}")
-    return EXIT_OK if failed == 0 else EXIT_VERIFY
+    print(f"failed: {len(fails)}")
+    return EXIT_OK if not fails else EXIT_VERIFY
 
 
 def cmd_count(cfg: SimpleNamespace) -> int:

@@ -23,10 +23,14 @@ row its last n and the n it drops for a rooted cubic, so no pair is
 trial-divided.  The root tables cover the primes with p^3 <= 4*m_max^3;
 they are built once per sweep, never at import.
 `enumerate_discriminants` runs the rows in this process and selects the
-family; `_sieve_row` does one row's arithmetic.
+family; `_sieve_row` does one row's arithmetic.  Each hit is kept as one
+int packing (d, m, n, u) from the top, so one sort orders the hits by d
+and then by (m, n), and the first hit of each d is its row; the rows come
+back as a sized view that unpacks them as it is iterated.
 
 The package's one CSV writer, `write_csv`, and the witness reader, which
-accepts exactly the lines `write_csv` writes, live here.
+accepts exactly the lines `write_csv` writes and yields their rows as it
+reads them, live here.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 import os
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .intmath import cubic_has_integer_root, cubic_root_values, icbrt, is_squarefree, primes_upto
 
@@ -162,24 +166,50 @@ def _sieve_row(
     return keep, d_part, u_part
 
 
-def enumerate_discriminants(
-    X: int, config: EnumConfig = EnumConfig()
-) -> list[tuple[int, int, int, int]]:
+class _Rows:
+    """The sweep's rows, d ascending, each kept as one int packing
+    (d, m, n, u) from the top: `shifts` are the bit offsets (sd, sm, sn)
+    of d, m and n, and u fills the sn bits below n.  len() is the row
+    count; each iteration unpacks the (d, m, n, u) tuples."""
+
+    def __init__(self, keys: list[int], shifts: tuple[int, int, int]) -> None:
+        self._keys = keys
+        self._shifts = shifts
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        sd, sm, sn = self._shifts
+        m_mask, n_mask, u_mask = (1 << sd - sm) - 1, (1 << sm - sn) - 1, (1 << sn) - 1
+        for key in self._keys:
+            yield key >> sd, key >> sm & m_mask, key >> sn & n_mask, key & u_mask
+
+
+def enumerate_discriminants(X: int, config: EnumConfig = EnumConfig()) -> _Rows:
     """The canonical witness (d, m, n, u) of every qualifying squarefree d
     in [2, X] discoverable in the (m, n) box, sorted by d.
 
     The canonical witness is the lexicographically least (m, n, u) found
-    for d.  Rows are visited in ascending m and each row in ascending n,
-    so the first pair to yield a d carries it.
+    for d.  Each hit is one int packing (d, m, n, u) from the top, so
+    sorting the hits orders them by d and then by (m, n), and the first
+    hit of each d carries its canonical witness.
     """
     if X < 2:
         raise ConfigurationError("X must be at least 2")
     if X > config.x_cap:
         raise ConfigurationError(f"X={X} exceeds the enumeration cap {config.x_cap}")
     m_hi = derived_m_max(X, config)
-    tables = _root_tables(icbrt(4 * m_hi * m_hi * m_hi))
+    m3 = m_hi * m_hi * m_hi
+    tables = _root_tables(icbrt(4 * m3))
     isqrt = math.isqrt
-    found: dict[int, tuple[int, int, int, int]] = {}
+    # Field widths of a hit: m <= m_hi; 27*n^2 < 4*m^3 gives n <= isqrt(4*m_hi^3/27);
+    # d*u^2 = t(n) <= 4*m^3 with d >= 2 gives u <= isqrt(2*m_hi^3).
+    sn = isqrt(2 * m3).bit_length()
+    sm = sn + isqrt(4 * m3 // 27).bit_length()
+    sd = sm + m_hi.bit_length()
+    keys: list[int] = []
+    hit = keys.append
     for m in range(2, m_hi + 1):
         if m % 3 == 0 or (config.shortcut_only and m % 3 != 1):
             continue
@@ -188,6 +218,7 @@ def enumerate_discriminants(
         keep, d_part, u_part = _sieve_row(m, n_hi, rooted, tables)
         if config.shortcut_only:
             keep[::3] = bytes(n_hi // 3 + 1)
+        m_key = m << sm
         for n in compress(range(n_hi + 1), keep):
             d = d_part[n]
             u = u_part[n]
@@ -198,9 +229,20 @@ def enumerate_discriminants(
                 u *= r
             else:
                 d *= c
-            if 2 <= d <= X and d not in found:
-                found[d] = (d, m, n, u)
-    return sorted(found.values())  # d is unique, so this is d order
+            if 2 <= d <= X:
+                hit(d << sd | m_key | n << sn | u)
+    keys.sort()
+    # keep the first hit of each d, compacting the sorted list in place
+    kept = 0
+    last_d = 0
+    for key in keys:
+        d = key >> sd
+        if d != last_d:
+            keys[kept] = key
+            kept += 1
+            last_d = d
+    del keys[kept:]
+    return _Rows(keys, (sd, sm, sn))
 
 
 def _row_template(header: str) -> str:
@@ -253,21 +295,19 @@ def _round_trip(template: str, text: str) -> list[int] | None:
     return None
 
 
-def read_witnesses_csv(path) -> list[tuple[int, int, int, int]]:
-    """Parse a witness export back into (d, m, n, u) rows.  A line is a
-    row only if `write_csv`'s template, filled with the line's own ints,
-    gives back the line: no other spelling, line end or field count.
+def read_witnesses_csv(path) -> Iterator[tuple[int, int, int, int]]:
+    """Yield the (d, m, n, u) rows of a witness export.  A line is a row
+    only if `write_csv`'s template, filled with the line's own ints, gives
+    back the line: no other spelling, line end or field count.
 
-    The lines are read in blocks of about 8 KiB.  A block is taken whole
-    when the template, once per line and filled with all of the block's
-    ints, gives back the block, which holds iff it holds for each line;
-    otherwise the block's first line that fails is named.  The blocks are
-    small because a block's parse temporaries share allocator arenas with
-    the rows: at 10^7, 64 KiB blocks left about 5 MB of them held after
-    `verify` had freed the rows.
+    The lines are read in blocks of about 8 KiB, and only one block is
+    held at a time.  A block is taken whole when the template, once per
+    line and filled with all of the block's ints, gives back the block,
+    which holds iff it holds for each line; otherwise the block's first
+    line that fails is named, in a ValueError raised before any of the
+    block's rows is yielded.
     """
     line_of = _row_template(_WITNESS_HEADER)
-    rows: list[tuple[int, int, int, int]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         found = fh.readline()
         if found != _WITNESS_HEADER + "\n":
@@ -277,5 +317,4 @@ def read_witnesses_csv(path) -> list[tuple[int, int, int, int]]:
             if ints is None:
                 bad = next(line for line in lines if _round_trip(line_of, line) is None)
                 raise ValueError("malformed row: %r" % bad.removesuffix("\n"))
-            rows += zip(*[iter(ints)] * 4)
-    return rows
+            yield from zip(*[iter(ints)] * 4)

@@ -73,10 +73,10 @@ class TestEnumerate:
 
     def test_x_max_above_default_enum_cap(self, tmp_path, capsys):
         # x_max, not EnumConfig's default cap of 10^6, caps the sweep
-        rows = enumerate_discriminants(1_000_001, EnumConfig(x_cap=1_000_001))
+        rows = list(enumerate_discriminants(1_000_001, EnumConfig(x_cap=1_000_001)))
         assert run("enumerate", "--x-max", "1000001", "--out", str(tmp_path)) == EXIT_OK
         assert f"witnesses: {len(rows)}\n" in capsys.readouterr().out
-        assert read_witnesses_csv(tmp_path / "witnesses.csv") == rows
+        assert list(read_witnesses_csv(tmp_path / "witnesses.csv")) == rows
 
     def test_bad_x_max(self, tmp_path):
         assert run("enumerate", "--x-max", "1", "--out", str(tmp_path)) == EXIT_CONFIG
@@ -158,6 +158,45 @@ class TestVerify:
         assert f"FAIL parsing {path}: malformed row: '{first}'\n" in out
         assert "malformed row: '+" not in out
         assert "checked: 0" in out and "failed: 1" in out
+
+    def test_parse_failure_after_a_failed_row_prints_only_the_parse_failure(self, tmp_path, capsys):
+        # row 100 (a wrong u) fails in the first block, before the reader
+        # meets the malformed row 6,000; its FAIL line is held and dropped
+        run("enumerate", "--x-max", "1000000", "--out", str(tmp_path))
+        path = tmp_path / "witnesses.csv"
+        header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        d, m, n, u = map(int, lines[99].split(","))
+        lines[99] = f"{d},{m},{n},{u + 1}\n"
+        lines[6_000] = "+" + lines[6_000]
+        path.write_bytes("".join([header, *lines]).encode("utf-8"))
+        capsys.readouterr()
+        code = run("verify", "--out", str(tmp_path), "--truth-x-max", "100")
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        bad = lines[6_000].removesuffix("\n")
+        assert out.splitlines()[:-1] == [
+            f"FAIL parsing {path}: malformed row: '{bad}'",
+            "checked: 0",
+            "passed: 0",
+            "failed: 1",
+        ]
+
+    def test_repeated_d_across_a_block_boundary_exits_3(self, tmp_path, capsys):
+        run("enumerate", "--x-max", "1000000", "--out", str(tmp_path))
+        path = tmp_path / "witnesses.csv"
+        with open(path, encoding="utf-8", newline="") as fh:
+            fh.readline()
+            first_block = len(fh.readlines(1 << 13))  # the reader's first block
+        header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[first_block] = lines[first_block - 1]  # the second block repeats the first's last row
+        path.write_bytes("".join([header, *lines]).encode("utf-8"))
+        code = run("verify", "--out", str(tmp_path), "--truth-x-max", "100")
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        row = lines[first_block].removesuffix("\n")
+        d = row.split(",")[0]
+        assert f"FAIL row {row}: d does not exceed the previous row's d = {d}\n" in out
+        assert f"checked: {len(lines)}\n" in out and "failed: 1\n" in out
 
     @pytest.mark.parametrize(
         "text",
@@ -700,4 +739,6 @@ class TestSubprocessEntry:
         assert proc.returncode == -signal.SIGPIPE
         assert "Traceback" not in proc.stderr
         # the file is written before anything is printed
-        assert read_witnesses_csv(tmp_path / "witnesses.csv") == enumerate_discriminants(100_000)
+        assert list(read_witnesses_csv(tmp_path / "witnesses.csv")) == list(
+            enumerate_discriminants(100_000)
+        )

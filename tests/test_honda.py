@@ -98,7 +98,15 @@ class TestEnumerate:
         assert found79[79] == (79, 7, 2, 4)
 
     def test_smallest_bound_is_empty(self):
-        assert enumerate_discriminants(2) == []
+        assert list(enumerate_discriminants(2)) == []
+
+    @pytest.mark.parametrize("shortcut_only", [False, True])
+    def test_rows_view_is_sized_and_re_iterable(self, shortcut_only):
+        rows = enumerate_discriminants(20_000, EnumConfig(shortcut_only=shortcut_only))
+        first = list(rows)
+        assert len(rows) == len(first) > 0
+        assert list(rows) == first
+        assert all(len(row) == 4 and all(type(f) is int for f in row) for row in first)
 
     def test_x300(self):
         ds = [d for d, m, n, u in enumerate_discriminants(300)]
@@ -129,7 +137,7 @@ class TestEnumerate:
             m_hi = derived_m_max(x, config)
             large = enumerate_discriminants(x_large, config)
             expected = [w for w in large if w[0] <= x and w[1] <= m_hi]
-            assert enumerate_discriminants(x, config) == expected
+            assert list(enumerate_discriminants(x, config)) == expected
 
     def test_shortcut_subfamily(self):
         full = {w[0] for w in enumerate_discriminants(20_000)}
@@ -230,24 +238,24 @@ class TestWitnessCsv:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "witnesses.csv"
-        rows = enumerate_discriminants(2_000)
+        rows = list(enumerate_discriminants(2_000))
         write_witnesses_csv(rows, path)
-        assert read_witnesses_csv(path) == rows
+        assert list(read_witnesses_csv(path)) == rows
 
     def test_reader_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("d,m,n,u\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            read_witnesses_csv(path)
+            list(read_witnesses_csv(path))
         path.write_text("wrong,header\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            read_witnesses_csv(path)
+            list(read_witnesses_csv(path))
         # int() accepts every one of these; write_csv never writes them
         for row in ("2_29,4,1,1", "+235,7,4,2", "079,7,2,4", "229, 4,1,1", "229,4 ,1,1",
                     "\u0662\u0662\u0669,4,1,1", "-0,4,1,1"):
             path.write_text(f"d,m,n,u\n{row}\n", encoding="utf-8")
             with pytest.raises(ValueError, match="malformed row"):
-                read_witnesses_csv(path)
+                list(read_witnesses_csv(path))
         # nor CR, spaces around a row, blank lines, or a line without its LF
         for text, message in (
             ("d,m,n,u\r\n229,4,1,1\r\n", "unexpected header"),
@@ -261,7 +269,7 @@ class TestWitnessCsv:
         ):
             path.write_bytes(text.encode("utf-8"))
             with pytest.raises(ValueError, match=message):
-                read_witnesses_csv(path)
+                list(read_witnesses_csv(path))
 
     def test_field_counts_that_shift_between_lines(self, tmp_path):
         # 3 + 5 fields fill the template of two rows, 1,2,3,4 and 5,6,7,8,
@@ -269,7 +277,7 @@ class TestWitnessCsv:
         path = tmp_path / "witnesses.csv"
         path.write_bytes(b"d,m,n,u\n1,2,3\n4,5,6,7,8\n")
         with pytest.raises(ValueError, match=r"^malformed row: '1,2,3'$"):
-            read_witnesses_csv(path)
+            list(read_witnesses_csv(path))
 
     @pytest.mark.parametrize(
         "edits",
@@ -281,18 +289,29 @@ class TestWitnessCsv:
         # in 16 blocks of about 8 KiB: the first ends at row 580, rows 5,000
         # and 5,001 share a block, and rows 6,000 and 7,980 do not
         path = tmp_path / "witnesses.csv"
-        rows = enumerate_discriminants(10**6)
+        rows = list(enumerate_discriminants(10**6))
         assert len(rows) == 7_981
         write_witnesses_csv(rows, path)
         assert path.stat().st_size > 1 << 16
-        assert read_witnesses_csv(path) == rows
+        assert list(read_witnesses_csv(path)) == rows
         header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         for k in edits:
             lines[k] = "+" + lines[k]
         path.write_bytes("".join([header, *lines]).encode("utf-8"))
         first = lines[edits[0]].removesuffix("\n")
         with pytest.raises(ValueError, match="^" + re.escape(f"malformed row: '{first}'") + "$"):
-            read_witnesses_csv(path)
+            list(read_witnesses_csv(path))
+
+    def test_yields_rows_before_a_later_bad_block(self, tmp_path):
+        # the reader keeps one 8 KiB block at a time: the first rows come out
+        # before it reaches the malformed row 6,000
+        path = tmp_path / "witnesses.csv"
+        rows = list(enumerate_discriminants(10**6))
+        write_witnesses_csv(rows, path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[6_000] = "+" + lines[6_000]
+        path.write_bytes("".join([header, *lines]).encode("utf-8"))
+        assert next(iter(read_witnesses_csv(path))) == rows[0]
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -302,7 +321,7 @@ class TestWitnessCsv:
     def test_one_character_edit_is_malformed(self, tmp_path_factory, rows, data):
         path = tmp_path_factory.mktemp("edit") / "witnesses.csv"
         write_witnesses_csv(rows, path)
-        assert read_witnesses_csv(path) == rows
+        assert list(read_witnesses_csv(path)) == rows
         header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         k = data.draw(st.integers(0, len(lines) - 1))
         line = lines[k]
@@ -320,7 +339,7 @@ class TestWitnessCsv:
             lines[k] = line[:i] + edit + line[i:]
         path.write_bytes("".join([header, *lines]).encode("utf-8"))
         with pytest.raises(ValueError, match="^malformed row: "):
-            read_witnesses_csv(path)
+            list(read_witnesses_csv(path))
 
 
 class TestCsv:
@@ -339,7 +358,7 @@ class TestCsv:
         path = tmp_path / "rows.csv"
         rows = [(1, -2, 3, 0), (40, 50, 60, 70)]
         write_csv(path, "d,m,n,u", rows)
-        assert read_witnesses_csv(path) == rows
+        assert list(read_witnesses_csv(path)) == rows
 
     def test_crash_mid_write_leaves_target_untouched(self, tmp_path):
         def rows_then_crash():

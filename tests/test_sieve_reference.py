@@ -56,7 +56,7 @@ def as_rows(found: dict[int, tuple[int, int, int]]) -> list[tuple[int, int, int,
 @pytest.mark.parametrize("shortcut_only", [False, True])
 @pytest.mark.parametrize("X", [10**3, 10**5, 10**6])
 def test_full_box_matches_reference(X, shortcut_only):
-    got = enumerate_discriminants(X, EnumConfig(x_cap=X, shortcut_only=shortcut_only))
+    got = list(enumerate_discriminants(X, EnumConfig(x_cap=X, shortcut_only=shortcut_only)))
     m_hi = derived_m_max(X, EnumConfig())
     assert got == as_rows(reference_sweep_m_range(X, m_hi, shortcut_only))
     assert got  # both families are nonempty at these bounds

@@ -79,7 +79,7 @@ _SETTINGS = {
     "checkpoints": (DEFAULT_CHECKPOINTS, _parse_checkpoints, "comma list of X values"),
     "truth_x_max": (10_000, int, None),
     "scholz_bound": (100, int, None),
-    "workers": (1, int, "processes for the oracle sweeps of count and falsify-scholz"),
+    "workers": (1, int, "processes for every sweep: the Honda sweep and the oracle sweeps"),
     "out": (Path("out"), _parse_out, "output directory (or env CCS_OUT)"),
     "shortcut_only": (
         False, _parse_bool, "restrict the sweep to pairs with 3|m-1 and 3 not dividing n"
@@ -160,7 +160,7 @@ def _validate_config(cfg: SimpleNamespace) -> None:
 
 def cmd_enumerate(cfg: SimpleNamespace) -> int:
     """Sweep the witness box up to x_max and write witnesses.csv."""
-    rows = enumerate_discriminants(cfg.x_max, _sweep_config(cfg))
+    rows = enumerate_discriminants(cfg.x_max, _sweep_config(cfg), cfg.workers)
     path = cfg.out / "witnesses.csv"
     write_witnesses_csv(rows, path)
     print(f"witnesses: {len(rows)}")
@@ -209,7 +209,7 @@ def cmd_count(cfg: SimpleNamespace) -> int:
     over the checkpoint range and over the pinned window.  A failed fit
     writes nothing.  With no checkpoint <= truth_x_max there is no truth
     series, and an n_truth.csv left by an earlier run is removed."""
-    honda_series = honda_count_series(cfg.checkpoints, _sweep_config(cfg))
+    honda_series = honda_count_series(cfg.checkpoints, _sweep_config(cfg), cfg.workers)
     try:
         report = fit_slope(honda_series, (cfg.checkpoints[0], cfg.checkpoints[-1]))
     except ValueError as exc:

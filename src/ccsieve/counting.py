@@ -7,16 +7,15 @@ dominate the sieve series pointwise.  The falsifier searches for
 squarefree d where 3 divides the class number of Q(sqrt(-3d)) but not
 that of Q(sqrt(d)), which kills the reflection-style implication from
 the imaginary side to the real side.  Both oracle sweeps run on
-`parallel_map`, which runs the first chunk of a range in this process
-and forks one child for each other chunk.
+`parallel_map`, which cuts a range into chunks of about equal oracle
+cost and hands them to `honda.fork_map`, the package's one process
+runner: it runs the first chunk in this process and forks one child for
+each other chunk.
 """
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
-import signal
 import statistics
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -29,7 +28,14 @@ from .classnum import (
     small_form_counts,
     three_divides_real_class_number,
 )
-from .honda import ConfigurationError, EnumConfig, enumerate_discriminants, write_csv
+from .honda import (
+    ConfigurationError,
+    EnumConfig,
+    enumerate_discriminants,
+    fork_map,
+    process_count,
+    write_csv,
+)
 from .intmath import is_squarefree, squarefree_decompose
 
 # d maps to discriminant 4d at worst, and the falsifier touches Q(sqrt(-3d)).
@@ -69,12 +75,12 @@ def check_checkpoints(checkpoints: Sequence[int]) -> None:
 
 
 def honda_count_series(
-    checkpoints: Sequence[int], config: EnumConfig = EnumConfig()
+    checkpoints: Sequence[int], config: EnumConfig = EnumConfig(), workers: int = 1
 ) -> CountSeries:
     """Sieve count series: qualifying d per checkpoint from one enumeration
-    at the largest checkpoint."""
+    at the largest checkpoint, on `workers` processes."""
     check_checkpoints(checkpoints)
-    ds = [row[0] for row in enumerate_discriminants(checkpoints[-1], config)]
+    ds = [row[0] for row in enumerate_discriminants(checkpoints[-1], config, workers)]
     return CountSeries("N_honda", tuple((x, bisect_right(ds, x)) for x in checkpoints))
 
 
@@ -105,89 +111,12 @@ def _chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return chunks
 
 
-class _ForkedChunk:
-    """fn(a, b) running in a forked child.  The child writes b"r" and the
-    marshalled list to a pipe, or, if fn raises, b"e" and the pickled
-    exception, then exits, with code 0 only once the whole message is
-    written."""
-
-    def __init__(self, fn: Callable[[int, int], list], a: int, b: int) -> None:
-        self.chunk = (a, b)
-        read_end, write_end = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(read_end)
-                try:
-                    message = b"r" + marshal.dumps(fn(a, b))
-                except BaseException as exc:
-                    import pickle  # only a failing chunk pays for the import
-
-                    message = b"e" + pickle.dumps(exc)
-                with open(write_end, "wb") as out:
-                    out.write(message)
-                code = 0
-            finally:
-                os._exit(code)  # runs none of the caller's cleanup and flushes no inherited buffer
-        os.close(write_end)
-        self.read_end = read_end
-
-    def join(self) -> list:
-        """Read the child's message, reap the child, and return its list
-        or raise its exception; a child that ended without a whole message
-        is a RuntimeError naming the chunk."""
-        try:
-            with open(self.read_end, "rb") as inp:
-                message = inp.read()
-        finally:
-            status = os.waitpid(self.pid, 0)[1]
-        if status != 0:
-            a, b = self.chunk
-            raise RuntimeError(
-                f"the child for [{a}, {b}] ended without a result (wait status {status})"
-            )
-        if message[:1] == b"e":
-            import pickle  # the child's own bytes, unpickled only on its error path
-
-            raise pickle.loads(message[1:])
-        return marshal.loads(message[1:])
-
-    def kill(self) -> None:
-        """End the child, whatever it is doing, and reap it."""
-        os.kill(self.pid, signal.SIGKILL)
-        os.close(self.read_end)
-        os.waitpid(self.pid, 0)
-
-
 def parallel_map(fn: Callable[[int, int], list], lo: int, hi: int, workers: int) -> list:
     """The lists fn(a, b) over the chunks [a, b] of [lo, hi], concatenated
-    in range order.  There are at most min(workers, CPU count) chunks, and
-    one where os.fork is missing (Windows).  This process runs the first
-    chunk and forks one child for each other chunk; no child outlives the
-    call, and when anything raises the children left are killed."""
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
-    chunks = _chunks(lo, hi, min(workers, (os.cpu_count() or 1) if hasattr(os, "fork") else 1))
-    if len(chunks) <= 1:
-        return fn(lo, hi)
-    pending = []
-    try:
-        for a, b in chunks[1:]:
-            pending.append(_ForkedChunk(fn, a, b))
-        results = fn(*chunks[0])
-        while pending:
-            # a child leaves `pending` before its join, which reaps it even if it raises
-            results += pending.pop(0).join()
-        return results
-    finally:
-        for child in pending:
-            child.kill()
+    in range order.  There are `honda.process_count(workers)` chunks at
+    most, of about equal cost, run by `honda.fork_map`: this process runs
+    the first chunk and forks one child for each other chunk."""
+    return fork_map(lambda chunk: fn(*chunk), _chunks(lo, hi, process_count(workers)))
 
 
 def _truth_chunk(lo: int, hi: int) -> list[int]:

@@ -22,24 +22,31 @@ and one isqrt settles (u, d).  `intmath.cubic_root_values` gives each
 row its last n and the n it drops for a rooted cubic, so no pair is
 trial-divided.  The root tables cover the primes with p^3 <= 4*m_max^3;
 they are built once per sweep, never at import.
-`enumerate_discriminants` runs the rows in this process and selects the
-family; `_sieve_row` does one row's arithmetic.  Each hit is kept as one
-int packing (d, m, n, u) from the top, so one sort orders the hits by d
-and then by (m, n), and the first hit of each d is its row; the rows come
+`enumerate_discriminants` lists the swept m of the family and deals them
+to up to `workers` processes; `_sweep_rows` runs one part's rows and
+`_sieve_row` does one row's arithmetic.  Each hit is kept as one int
+packing (d, m, n, u) from the top, so one sort orders the hits by d and
+then by (m, n), and the first hit of each d is its row.  Each part sorts
+its hits and keeps the first of each d; the caller joins the parts and
+does the same once more, so any split gives the same rows.  They come
 back as a sized view that unpacks them as it is iterated.
 
-The package's one CSV writer, `write_csv`, and the witness reader, which
-accepts exactly the lines `write_csv` writes and yields their rows as it
-reads them, live here.
+`fork_map` is the package's one process runner, shared with the oracle
+sweeps of `counting`: this process runs the first chunk and forks one
+child for each other one.  The package's one CSV writer, `write_csv`,
+and the witness reader, which accepts exactly the lines `write_csv`
+writes and yields their rows as it reads them, live here too.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
+import signal
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .intmath import cubic_has_integer_root, cubic_root_values, icbrt, is_squarefree, primes_upto
 
@@ -186,37 +193,135 @@ class _Rows:
             yield key >> sd, key >> sm & m_mask, key >> sn & n_mask, key & u_mask
 
 
-def enumerate_discriminants(X: int, config: EnumConfig = EnumConfig()) -> _Rows:
-    """The canonical witness (d, m, n, u) of every qualifying squarefree d
-    in [2, X] discoverable in the (m, n) box, sorted by d.
+def process_count(workers: int) -> int:
+    """The processes a sweep on `workers` workers runs on: no more than
+    the CPU count, and 1 where os.fork is missing (Windows)."""
+    if workers < 1:
+        raise ConfigurationError("workers must be >= 1")
+    return min(workers, (os.cpu_count() or 1) if hasattr(os, "fork") else 1)
 
-    The canonical witness is the lexicographically least (m, n, u) found
-    for d.  Each hit is one int packing (d, m, n, u) from the top, so
-    sorting the hits orders them by d and then by (m, n), and the first
-    hit of each d carries its canonical witness.
-    """
-    if X < 2:
-        raise ConfigurationError("X must be at least 2")
-    if X > config.x_cap:
-        raise ConfigurationError(f"X={X} exceeds the enumeration cap {config.x_cap}")
-    m_hi = derived_m_max(X, config)
-    m3 = m_hi * m_hi * m_hi
-    tables = _root_tables(icbrt(4 * m3))
+
+class _ForkedChunk:
+    """fn(chunk) running in a forked child.  The child writes b"r" and the
+    marshalled list to a pipe, or, if fn raises, b"e" and the pickled
+    exception, then exits, with code 0 only once the whole message is
+    written."""
+
+    def __init__(self, fn: Callable[[Sequence[int]], list], chunk: Sequence[int]) -> None:
+        self.chunk = chunk
+        read_end, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                try:
+                    message = b"r" + marshal.dumps(fn(chunk))
+                except BaseException as exc:
+                    import pickle  # only a failing chunk pays for the import
+
+                    message = b"e" + pickle.dumps(exc)
+                with open(write_end, "wb") as out:
+                    out.write(message)
+                code = 0
+            finally:
+                os._exit(code)  # runs none of the caller's cleanup and flushes no inherited buffer
+        os.close(write_end)
+        self.read_end = read_end
+
+    def join(self) -> list:
+        """Read the child's message, reap the child, and return its list
+        or raise its exception; a child that ended without a whole message
+        is a RuntimeError naming the chunk's first and last item."""
+        try:
+            with open(self.read_end, "rb") as inp:
+                message = inp.read()
+        finally:
+            status = os.waitpid(self.pid, 0)[1]
+        if status != 0:
+            raise RuntimeError(
+                f"the child for [{self.chunk[0]}, {self.chunk[-1]}] ended without a result "
+                f"(wait status {status})"
+            )
+        if message[:1] == b"e":
+            import pickle  # the child's own bytes, unpickled only on its error path
+
+            raise pickle.loads(message[1:])
+        return marshal.loads(message[1:])
+
+    def kill(self) -> None:
+        """End the child, whatever it is doing, and reap it."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.close(self.read_end)
+        os.waitpid(self.pid, 0)
+
+
+def fork_map(fn: Callable[[Sequence[int]], list], chunks: Sequence[Sequence[int]]) -> list:
+    """The lists fn(chunk) over the chunks, concatenated in order.  This
+    process runs the first chunk and forks one child for each other chunk,
+    so one chunk forks nothing; no child outlives the call, and when
+    anything raises the children left are killed."""
+    pending = []
+    try:
+        for chunk in chunks[1:]:
+            pending.append(_ForkedChunk(fn, chunk))
+        results = fn(chunks[0]) if chunks else []
+        while pending:
+            # a child leaves `pending` before its join, which reaps it even if it raises
+            results += pending.pop(0).join()
+        return results
+    finally:
+        for child in pending:
+            child.kill()
+
+
+def _deal(ms: list[int], parts: int) -> list[list[int]]:
+    """ms dealt to `parts` ascending lists in snake order over blocks of
+    2*parts: part j takes the j-th and the (2*parts - 1 - j)-th m of each
+    block.  A row's length grows with m, and an even m keeps only half
+    its n, so each part gets about as many rows, as much row length and
+    as many even m as any other."""
+    step = 2 * parts
+    return [sorted(ms[j::step] + ms[step - 1 - j::step]) for j in range(parts)]
+
+
+def _first_per_d(keys: list[int], sd: int) -> None:
+    """Keep, in sorted packed keys, the first key of each d (the bits from
+    sd up), compacting the list in place."""
+    kept = 0
+    last_d = 0
+    for key in keys:
+        d = key >> sd
+        if d != last_d:
+            keys[kept] = key
+            kept += 1
+            last_d = d
+    del keys[kept:]
+
+
+def _sweep_rows(
+    ms: Sequence[int],
+    X: int,
+    shortcut_only: bool,
+    tables: list[tuple[int, list[int]]],
+    shifts: tuple[int, int, int],
+) -> list[int]:
+    """The packed hits with d <= X of the rows m in ms, sorted, the first
+    of each d kept.  The loop over a row's n reads only local names."""
+    sd, sm, sn = shifts
     isqrt = math.isqrt
-    # Field widths of a hit: m <= m_hi; 27*n^2 < 4*m^3 gives n <= isqrt(4*m_hi^3/27);
-    # d*u^2 = t(n) <= 4*m^3 with d >= 2 gives u <= isqrt(2*m_hi^3).
-    sn = isqrt(2 * m3).bit_length()
-    sm = sn + isqrt(4 * m3 // 27).bit_length()
-    sd = sm + m_hi.bit_length()
     keys: list[int] = []
     hit = keys.append
-    for m in range(2, m_hi + 1):
-        if m % 3 == 0 or (config.shortcut_only and m % 3 != 1):
-            continue
+    for m in ms:
         t4 = 4 * m * m * m
         n_hi, rooted = cubic_root_values(m)  # n_hi: the largest n with 27*n^2 < 4*m^3
         keep, d_part, u_part = _sieve_row(m, n_hi, rooted, tables)
-        if config.shortcut_only:
+        if shortcut_only:
             keep[::3] = bytes(n_hi // 3 + 1)
         m_key = m << sm
         for n in compress(range(n_hi + 1), keep):
@@ -232,17 +337,45 @@ def enumerate_discriminants(X: int, config: EnumConfig = EnumConfig()) -> _Rows:
             if 2 <= d <= X:
                 hit(d << sd | m_key | n << sn | u)
     keys.sort()
-    # keep the first hit of each d, compacting the sorted list in place
-    kept = 0
-    last_d = 0
-    for key in keys:
-        d = key >> sd
-        if d != last_d:
-            keys[kept] = key
-            kept += 1
-            last_d = d
-    del keys[kept:]
-    return _Rows(keys, (sd, sm, sn))
+    _first_per_d(keys, sd)
+    return keys
+
+
+def enumerate_discriminants(X: int, config: EnumConfig = EnumConfig(), workers: int = 1) -> _Rows:
+    """The canonical witness (d, m, n, u) of every qualifying squarefree d
+    in [2, X] discoverable in the (m, n) box, sorted by d.
+
+    The canonical witness is the lexicographically least (m, n, u) found
+    for d.  Each hit is one int packing (d, m, n, u) from the top, so
+    sorting the hits orders them by d and then by (m, n), and the first
+    hit of each d carries its canonical witness.  The rows are dealt to
+    `process_count(workers)` parts, never more than there are rows, run
+    by `fork_map`; with one part nothing forks.
+    """
+    if X < 2:
+        raise ConfigurationError("X must be at least 2")
+    if X > config.x_cap:
+        raise ConfigurationError(f"X={X} exceeds the enumeration cap {config.x_cap}")
+    processes = process_count(workers)
+    m_hi = derived_m_max(X, config)
+    m3 = m_hi * m_hi * m_hi
+    tables = _root_tables(icbrt(4 * m3))
+    isqrt = math.isqrt
+    # Field widths of a hit: m <= m_hi; 27*n^2 < 4*m^3 gives n <= isqrt(4*m_hi^3/27);
+    # d*u^2 = t(n) <= 4*m^3 with d >= 2 gives u <= isqrt(2*m_hi^3).
+    sn = isqrt(2 * m3).bit_length()
+    sm = sn + isqrt(4 * m3 // 27).bit_length()
+    sd = sm + m_hi.bit_length()
+    shifts = (sd, sm, sn)
+    # 3 | m gives gcd(m, 3n) = 3; the shortcut family keeps only m = 1 (mod 3)
+    ms = [m for m in range(2, m_hi + 1) if m % 3 and not (config.shortcut_only and m % 3 == 2)]
+    parts = _deal(ms, max(1, min(processes, len(ms))))
+    keys = fork_map(lambda part: _sweep_rows(part, X, config.shortcut_only, tables, shifts), parts)
+    if len(parts) > 1:
+        # one sort merges the parts' sorted runs; a d of two parts keeps its least (m, n)
+        keys.sort()
+        _first_per_d(keys, sd)
+    return _Rows(keys, shifts)
 
 
 def _row_template(header: str) -> str:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsieve import counting
 from ccsieve.classnum import (
     class_number_imaginary,
     class_number_real_narrow,
@@ -30,6 +29,7 @@ from ccsieve.counting import (
 )
 from ccsieve.honda import ConfigurationError, EnumConfig, enumerate_discriminants
 from ccsieve.intmath import is_squarefree
+from conftest import CPUS, assert_no_child
 from reference import chunks_by_prefix
 
 
@@ -244,32 +244,6 @@ def _span(lo, hi):
     return list(range(lo, hi + 1))
 
 
-CPUS = 64  # the CPU count the parallel_map tests pin, whatever the machine has
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """Replace the fork step by an in-process run of the chunk, pin
-    os.cpu_count to CPUS and record each chunk that would have gone to a
-    child, so no test forks more than one child."""
-    chunks = []
-    monkeypatch.setattr(os, "cpu_count", lambda: CPUS)
-
-    class InlineChunk:
-        def __init__(self, fn, a, b):
-            chunks.append((a, b))
-            self.result = fn(a, b)
-
-        def join(self):
-            return self.result
-
-        def kill(self):
-            pass
-
-    monkeypatch.setattr(counting, "_ForkedChunk", InlineChunk)
-    return chunks
-
-
 def _fails_past_2(lo, hi):
     """Raises in every chunk but the first, which the caller runs."""
     if lo > 2:
@@ -290,11 +264,6 @@ def _child_exits(lo, hi):
     if lo > 2:
         os._exit(3)
     return _span(lo, hi)
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParallelMap:
@@ -337,21 +306,21 @@ class TestParallelMap:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert len(_chunks(2, 3_000, 2)) == 2
         assert parallel_map(_span, 2, 3_000, 2) == _span(2, 3_000)
-        _assert_no_child()
+        assert_no_child()
 
     def test_child_exception_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         (_, _), (a, _) = _chunks(2, 3_000, 2)
         with pytest.raises(ArithmeticError, match=f"^injected at {a}$"):
             parallel_map(_fails_past_2, 2, 3_000, 2)
-        _assert_no_child()
+        assert_no_child()
 
     def test_caller_exception_leaves_no_child(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         t0 = time.monotonic()
         with pytest.raises(ArithmeticError, match="^injected in the caller$"):
             parallel_map(_caller_fails, 2, 3_000, 2)
-        _assert_no_child()
+        assert_no_child()
         assert time.monotonic() - t0 < 30  # the child was killed, not waited for
 
     def test_child_without_result_names_its_chunk(self, monkeypatch):
@@ -359,7 +328,7 @@ class TestParallelMap:
         (_, _), (a, b) = _chunks(2, 3_000, 2)
         with pytest.raises(RuntimeError, match=rf"^the child for \[{a}, {b}\] ended without"):
             parallel_map(_child_exits, 2, 3_000, 2)
-        _assert_no_child()
+        assert_no_child()
 
     def test_failed_fork_leaves_no_child_or_pipe(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -380,7 +349,7 @@ class TestParallelMap:
         assert raised.value.errno == errno.EAGAIN
         assert len(attempts) == 2
         # the child forked first was killed and reaped, and both pipes closed
-        _assert_no_child()
+        assert_no_child()
         if open_before is not None:
             assert len(list(fds.iterdir())) == open_before
 

@@ -8,12 +8,14 @@ are verified inline where they matter.
 
 import hashlib
 import math
+import os
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccsieve import honda
 from ccsieve.honda import (
     ConfigurationError,
     EnumConfig,
@@ -26,6 +28,7 @@ from ccsieve.honda import (
 )
 from ccsieve.intmath import icbrt, is_squarefree
 from ccsieve.classnum import three_divides_real_class_number
+from conftest import CPUS, assert_no_child
 from reference import cubic_root_by_divisors
 
 
@@ -160,6 +163,79 @@ class TestEnumerate:
     def test_cap_exceeded_is_config_error(self):
         with pytest.raises(ConfigurationError):
             enumerate_discriminants(2_000_000, EnumConfig(x_cap=1_000_000))
+
+
+def _swept_m(X, shortcut_only):
+    """The m whose rows the sweep to X runs: prime to 3, and 1 (mod 3) for
+    the shortcut family."""
+    m_hi = derived_m_max(X, EnumConfig())
+    return [m for m in range(2, m_hi + 1) if m % 3 == 1 or (m % 3 == 2 and not shortcut_only)]
+
+
+class TestSplitSweep:
+    @pytest.mark.parametrize("X", [2, 10**5])
+    @pytest.mark.parametrize("shortcut_only", [False, True])
+    def test_rows_equal_the_one_process_rows(self, forked, X, shortcut_only):
+        config = EnumConfig(shortcut_only=shortcut_only)
+        rows = list(enumerate_discriminants(X, config))
+        assert forked == []
+        for workers in (1, 2, 3, 64):
+            forked.clear()
+            assert list(enumerate_discriminants(X, config, workers)) == rows
+            # one part per process, never more parts than rows; the caller runs the first
+            assert len(forked) == min(workers, CPUS, len(_swept_m(X, shortcut_only))) - 1
+
+    @pytest.mark.parametrize("shortcut_only", [False, True])
+    def test_deal_runs_each_row_once_and_balances_two_parts(
+        self, forked, monkeypatch, shortcut_only
+    ):
+        parts = []
+        monkeypatch.setattr(honda, "_sweep_rows", lambda part, *args: parts.append(part) or [])
+        config = EnumConfig(x_cap=10**9, shortcut_only=shortcut_only)
+        for X in (2, 10**5, 10**9):
+            swept = _swept_m(X, shortcut_only)
+            for workers in (1, 2, 3, 64):
+                parts.clear()
+                enumerate_discriminants(X, config, workers)
+                assert len(parts) == min(workers, len(swept))
+                assert sorted(m for part in parts for m in part) == swept
+            parts.clear()
+            enumerate_discriminants(X, config, 2)
+            a, b = parts
+            # rows and even rows, which keep half their n
+            assert abs(len(a) - len(b)) <= 1
+            assert abs(sum(m % 2 == 0 for m in a) - sum(m % 2 == 0 for m in b)) <= 1
+
+    def test_two_process_sweep(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        fork = os.fork
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        rows = list(enumerate_discriminants(10**6))
+        assert forks == []
+        assert list(enumerate_discriminants(10**6, EnumConfig(), 2)) == rows
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_child_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        caller = os.getpid()
+        sieve_row = honda._sieve_row
+
+        def fails_in_child(m, *args):
+            if os.getpid() != caller:
+                raise ArithmeticError(f"injected at m = {m}")
+            return sieve_row(m, *args)
+
+        monkeypatch.setattr(honda, "_sieve_row", fails_in_child)
+        # the child's part starts with the second swept m, 4
+        with pytest.raises(ArithmeticError, match="^injected at m = 4$"):
+            enumerate_discriminants(10**5, EnumConfig(), 2)
+        assert_no_child()
+
+    def test_bad_worker_count(self):
+        with pytest.raises(ConfigurationError, match="^workers must be >= 1$"):
+            enumerate_discriminants(10**5, EnumConfig(), 0)
 
 
 class TestLargeCounts:

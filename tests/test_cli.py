@@ -123,6 +123,15 @@ class TestVerify:
         assert "FAIL row 0,4,1,1" in out
         assert "passed: 1" in out and "failed: 1" in out
 
+    def test_negative_field_reaches_validate_witness(self, tmp_path, capsys):
+        # the reader takes -5 back as written; the row check refuses it
+        (tmp_path / "witnesses.csv").write_text("d,m,n,u\n-5,2,3,4\n", encoding="utf-8")
+        code = run("verify", "--out", str(tmp_path), "--truth-x-max", "100")
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        assert "FAIL row -5,2,3,4: witness components must be positive\n" in out
+        assert "checked: 1" in out and "failed: 1" in out
+
     def test_repeated_or_descending_rows_exit_3(self, tmp_path, capsys):
         rows = "d,m,n,u\n229,4,1,1\n229,4,1,1\n79,7,2,4\n"
         (tmp_path / "witnesses.csv").write_text(rows, encoding="utf-8")

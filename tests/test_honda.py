@@ -347,6 +347,30 @@ class TestWitnessCsv:
             with pytest.raises(ValueError, match=message):
                 list(read_witnesses_csv(path))
 
+    @pytest.mark.parametrize(
+        "spelling",
+        ["1.0", "1e3", "1e+16", "NaN", "Infinity", "-Infinity", "[]", "[1]", "{}",
+         "true", "null", '"1"', "\t"],
+    )
+    @pytest.mark.parametrize("k", [0, 3], ids=["first-field", "last-field"])
+    def test_json_only_spellings_are_malformed(self, tmp_path, spelling, k):
+        # each block is decoded as one JSON array, which reads all of these
+        # as values; %s gives back [], [1], {}, 1.0 and 1e+16 as spelled
+        fields = ["229", "4", "1", "1"]
+        fields[k] = "\t" + fields[k] if spelling == "\t" else spelling
+        line = ",".join(fields)
+        path = tmp_path / "witnesses.csv"
+        path.write_text(f"d,m,n,u\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^" + re.escape(f"malformed row: {line!r}") + "$"):
+            list(read_witnesses_csv(path))
+
+    def test_object_on_the_second_line_of_a_block(self, tmp_path):
+        # the first line is a row, but the block holding it is refused whole
+        path = tmp_path / "witnesses.csv"
+        path.write_bytes(b"d,m,n,u\n229,4,1,1\n{},2,3,4\n")
+        with pytest.raises(ValueError, match=r"^malformed row: '\{\},2,3,4'$"):
+            next(iter(read_witnesses_csv(path)))
+
     def test_field_counts_that_shift_between_lines(self, tmp_path):
         # 3 + 5 fields fill the template of two rows, 1,2,3,4 and 5,6,7,8,
         # but neither line is a row
@@ -401,7 +425,9 @@ class TestWitnessCsv:
         header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         k = data.draw(st.integers(0, len(lines) - 1))
         line = lines[k]
-        edit = data.draw(st.sampled_from(["+", "0", "_", " ", "\r", "no LF"]))
+        edit = data.draw(
+            st.sampled_from(["+", "0", "_", " ", "\r", ".", "e", "[", "{", "\t", "no LF"])
+        )
         if edit == "no LF":
             k = len(lines) - 1
             lines[k] = lines[k].removesuffix("\n")
@@ -419,6 +445,34 @@ class TestWitnessCsv:
 
 
 class TestCsv:
+    BLOCK = honda._WRITE_BLOCK_ROWS
+
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
+                                       2 * BLOCK, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("header", ["a,b", "d,h_real_narrow,h_imag", "d,m,n,u"])
+    @pytest.mark.parametrize("comment", [None, "N_honda"])
+    def test_block_writer_matches_the_row_writer(self, tmp_path, count, header, comment):
+        width = header.count(",") + 1
+        rows = [tuple((-7) ** j * (i + 1) ** (j + 1) for j in range(width)) for i in range(count)]
+        path = tmp_path / "rows.csv"
+        write_csv(path, header, iter(rows), comment=comment)
+        expected = "" if comment is None else f"# {comment}\n"
+        expected += header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "bad", [[(1, 2)], [(1, 2, 3), (4, 5, 6, 7, 8)]], ids=["short", "short-then-long"]
+    )
+    def test_wrong_field_count_in_a_later_block_raises(self, tmp_path, bad):
+        # a short row next to a long one fills the block's template all the same
+        rows = [(i, i + 1, i + 2, i + 3) for i in range(2 * self.BLOCK)]
+        at = self.BLOCK + self.BLOCK // 2
+        rows[at:at + len(bad)] = bad
+        path = tmp_path / "witnesses.csv"
+        with pytest.raises(TypeError):
+            write_csv(path, "d,m,n,u", rows)
+        assert list(tmp_path.iterdir()) == []  # no target, no temporary file
+
     def test_comment_header_and_rows(self, tmp_path):
         path = tmp_path / "series.csv"
         write_csv(path, "X,count", [(100, 1), (1_000, 35)], comment="N_honda")
